@@ -1,4 +1,4 @@
-"""Hot-path performance rules (PF001-PF007).
+"""Hot-path performance rules (PF001-PF008).
 
 The JETS scaling story lives or dies in the per-event inner loops: the
 kernel event loop, the store dispatch fixpoints, and the dispatcher /
@@ -643,6 +643,55 @@ class HeapOutsideScheduler(PerfRule):
                 "justify the private heap",
                 self.is_hot(module, graph, hot, node),
             )
+
+
+@register
+class ClassInFunctionBody(PerfRule):
+    """A ``class`` statement inside a function body.
+
+    A ``class`` statement builds a new type object every time it runs,
+    and a type is a reference cycle by construction (its ``__mro__``
+    and its attribute descriptors point back at it).  Run per call,
+    it leaves a type, its namespace dict and its descriptors for the
+    cycle collector every time: the removed dispatcher adapter that
+    wrapped a job id in a throwaway class left 2,000 cyclic types per
+    2,000-job batch.  Define the class once at module level, or pass
+    the plain value the callee needs.  Cold factories that build a
+    class once (fixtures, plugin registration) take a
+    ``# repro: noqa[PF008]`` with the reason.
+    """
+
+    id = "PF008"
+    description = (
+        "class statement inside a function body (a new cyclic type "
+        "object per call); error on the hot path"
+    )
+    example_bad = (
+        "def _report(self, job_id):\n"
+        "    class _Key:\n"
+        "        pass\n"
+        "    key = _Key()\n"
+        "    key.job_id = job_id\n"
+        "    self.aggregator.release(key)"
+    )
+    example_good = (
+        "def _report(self, job_id):\n"
+        "    self.aggregator.release(job_id)"
+    )
+
+    def check_module(
+        self, module: Module, graph: CallGraph, hot: frozenset[str]
+    ) -> Iterator[Finding]:
+        enclosing = module.dataflow.enclosing_function
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.ClassDef) and enclosing(node) is not None:
+                yield self.pf_finding(
+                    module, node,
+                    f"class {node.name} defined inside a function body "
+                    "builds a new type object (a reference cycle) per "
+                    "call; define it once at module level",
+                    self.is_hot(module, graph, hot, node),
+                )
 
 
 _LIST_MAKERS = frozenset({"list", "sorted"})

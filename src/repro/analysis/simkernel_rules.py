@@ -39,29 +39,17 @@ def _is_generator(func: _FuncDef) -> bool:
 
 def _owner(root: _FuncDef, target: ast.AST) -> ast.AST:
     """The innermost function definition containing ``target``."""
-    owner: ast.AST = root
-
-    class Finder(ast.NodeVisitor):
-        def __init__(self):
-            self.stack: list[ast.AST] = [root]
-            self.found: ast.AST = root
-
-        def generic_visit(self, node: ast.AST) -> None:
-            if node is target:
-                self.found = self.stack[-1]
-                return
-            is_def = isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ) and node is not root
-            if is_def:
-                self.stack.append(node)
-            super().generic_visit(node)
-            if is_def:
-                self.stack.pop()
-
-    finder = Finder()
-    finder.visit(root)
-    return finder.found
+    stack: list[tuple[ast.AST, ast.AST]] = [(root, root)]
+    while stack:
+        node, owner = stack.pop()
+        if node is target:
+            return owner
+        if node is not root and isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            owner = node
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return root
 
 
 def _dotted(node: ast.expr) -> str:

@@ -254,7 +254,7 @@ def _aggregator_churn(quick: bool) -> dict:
             views = agg.place(job)
             placed += len(views)
             for v in views:
-                agg.release(job, v.worker_id)
+                agg.release(job.job_id, v.worker_id)
                 agg.mark_ready(v.worker_id, now=float(i), all_slots=job.mpi)
     return {
         "workers": workers,

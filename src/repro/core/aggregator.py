@@ -204,12 +204,12 @@ class Aggregator:
             self._transition(WORKER_BUSY, view)
         return chosen
 
-    def release(self, job: JobSpec, worker_id: int) -> None:
-        """Worker finished its part of ``job`` (readiness arrives separately
-        via the worker's own ``ready`` message)."""
+    def release(self, job_id: str, worker_id: int) -> None:
+        """Worker finished its part of job ``job_id`` (readiness arrives
+        separately via the worker's own ``ready`` message)."""
         view = self._workers.get(worker_id)
         if view is not None:
-            view.running_jobs.discard(job.job_id)
+            view.running_jobs.discard(job_id)
             if view.alive and not view.running_jobs:
                 self._transition(WORKER_IDLE, view)
 

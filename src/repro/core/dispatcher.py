@@ -428,7 +428,7 @@ class JetsDispatcher:
     ) -> None:
         # Serial-job completion is recorded here (MPI completion arrives via
         # the mpiexec controller); both paths release the worker binding.
-        self.aggregator.release(_job_key(job_id), view.worker_id)
+        self.aggregator.release(job_id, view.worker_id)
         pending = self._mpi_pending.get(job_id)
         if pending is not None:
             pending.discard(view.worker_id)
@@ -473,15 +473,27 @@ class JetsDispatcher:
 
     def _scheduler_loop(self) -> Generator:
         env = self.env
+        can_place = self.aggregator.can_place
         while True:
             if not self._wake.triggered:
                 yield self._wake
             self._wake = env.event()
             while True:
-                job = self.policy.select(self.aggregator.can_place)
+                job = self.policy.select(can_place)
                 if job is None:
                     break
                 yield from self._service()
+                if not can_place(job):
+                    # A worker was lost during the service time: put the
+                    # job back and wait for the next wake-up.
+                    if self.shutting_down:
+                        self._finish(
+                            job, ok=False, result=None,
+                            error="dispatcher shutdown",
+                        )
+                    else:
+                        self.policy.push_front(job)
+                    break
                 views = self.aggregator.place(job)
                 self._dispatch_times.setdefault(job.job_id, env.now)
                 queued_at = self._queued_times.pop(job.job_id, None)
@@ -562,7 +574,7 @@ class JetsDispatcher:
         )
         self._serial_running.pop(job.job_id, None)
         self._serial_owner.pop(job.job_id, None)
-        self.aggregator.release(_job_key(job.job_id), view.worker_id)
+        self.aggregator.release(job.job_id, view.worker_id)
         if self.aggregator.get(view.worker_id) is view and not view.socket.closed:
             try:
                 yield from self._service()
@@ -659,7 +671,7 @@ class JetsDispatcher:
             self._controllers.pop(job.job_id, None)
         pending = self._mpi_pending.pop(job.job_id, set())
         for view in views:
-            self.aggregator.release(job, view.worker_id)
+            self.aggregator.release(job.job_id, view.worker_id)
         if result.ok:
             self._wireup.observe(result.wireup_time)
             self._finish(job, ok=True, result=result)
@@ -852,14 +864,3 @@ class JetsDispatcher:
             and not self.drained.triggered
         ):
             self.drained.succeed()
-
-
-def _job_key(job_id: str) -> JobSpec:
-    """Adapter: aggregator.release only reads ``job_id``."""
-
-    class _K:
-        pass
-
-    k = _K()
-    k.job_id = job_id  # type: ignore[attr-defined]
-    return k  # type: ignore[return-value]

@@ -38,6 +38,10 @@ class QueuePolicy:
         """
         raise NotImplementedError
 
+    def push_front(self, job: JobSpec) -> None:
+        """Return a job just taken by :meth:`select` to the queue head."""
+        raise NotImplementedError
+
     def pending(self) -> list[JobSpec]:
         """Snapshot of queued jobs in policy order."""
         raise NotImplementedError
@@ -51,6 +55,9 @@ class FifoPolicy(QueuePolicy):
 
     def push(self, job: JobSpec) -> None:
         self._queue.append(job)
+
+    def push_front(self, job: JobSpec) -> None:
+        self._queue.appendleft(job)
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -74,6 +81,13 @@ class PriorityPolicy(QueuePolicy):
     def push(self, job: JobSpec) -> None:
         self._queue.append((job.priority, self._seq, job))
         self._seq += 1
+        self._queue.sort(key=lambda t: (t[0], t[1]))
+
+    def push_front(self, job: JobSpec) -> None:
+        # Ahead of its priority level: a sequence number below every
+        # queued job's.
+        self._seq += 1
+        self._queue.append((job.priority, -self._seq, job))
         self._queue.sort(key=lambda t: (t[0], t[1]))
 
     def __len__(self) -> int:
@@ -104,6 +118,9 @@ class BackfillPolicy(QueuePolicy):
 
     def push(self, job: JobSpec) -> None:
         self._queue.append(job)
+
+    def push_front(self, job: JobSpec) -> None:
+        self._queue.appendleft(job)
 
     def __len__(self) -> int:
         return len(self._queue)

@@ -45,12 +45,12 @@ class StagingManager:
     def flatten(self) -> list[ExecutableImage]:
         """The stage list with library dependencies expanded."""
         out: list[ExecutableImage] = []
-        def walk(img: ExecutableImage) -> None:
+        # Depth-first preorder: each image, then its libraries' subtrees.
+        stack = self.files[::-1]
+        while stack:
+            img = stack.pop()
             out.append(img)
-            for lib in img.libraries:
-                walk(lib)
-        for img in self.files:
-            walk(img)
+            stack.extend(reversed(img.libraries))
         return out
 
     def stage_to(self, node: Node) -> Generator:

@@ -333,7 +333,9 @@ class Process(Event):
         self._target: Optional[Event] = None
         # Bound-method caches: _resume is subscribed to an event on every
         # generator step and send() is called at least as often; creating
-        # the bound method each time costs an allocation apiece.
+        # the bound method each time costs an allocation apiece.  Both
+        # are cleared at termination: ``_presume`` references ``self``, so
+        # keeping it would leave every finished process a reference cycle.
         self._presume = self._resume
         self._gsend = generator.send
         Initialize(env, self)
@@ -440,12 +442,12 @@ class Process(Event):
                 callbacks.append(self._presume)
                 break
         except StopIteration as stop:
-            self._target = None
+            self._target = self._presume = self._gsend = None
             self._ok = True
             self._value = stop.value
             self.env._schedule(self, NORMAL)
         except BaseException as exc:
-            self._target = None
+            self._target = self._presume = self._gsend = None
             self._ok = False
             self._value = exc
             self._defused = False

@@ -111,7 +111,7 @@ class Resource:
         while self._queue and len(self._users) < self.capacity:
             req = self._queue.popleft()
             self._users.add(req)
-            req.succeed(req)
+            req.succeed()
 
 
 class StoreGet(Event):

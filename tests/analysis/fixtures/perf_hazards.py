@@ -1,4 +1,4 @@
-"""Seeded hot/cold performance hazards for the PF001-PF007 rules.
+"""Seeded hot/cold performance hazards for the PF001-PF008 rules.
 
 Loaded as *text* by the lint tests, never imported.  The ``# MARK:``
 comments pin the expected finding lines.  ``Environment.step`` matches
@@ -44,6 +44,7 @@ class Environment:
                 view.poll()
             total = sum([w.load for w in workers])  # MARK: PF001-reducer
             self._drain(total)
+            self._key("job")
 
     def _drain(self, total):
         while self.queue:
@@ -65,6 +66,14 @@ class Environment:
             if rec.job in active:  # MARK: PF006-hot
                 return
             self.queue.pop()
+
+    def _key(self, job_id):
+        class _Key:  # MARK: PF008-hot
+            pass
+
+        key = _Key()
+        key.job_id = job_id
+        return key
 
     def _guarded_recv(self, sock):
         # try-around-yield in a hot loop is the sanctioned cancellation
@@ -128,3 +137,10 @@ def cold_membership(jobs):
         if job in seen:  # MARK: PF006-cold
             continue
     return seen
+
+
+def cold_class_factory(label):
+    class Adapter:  # MARK: PF008-cold
+        name = label
+
+    return Adapter

@@ -1,4 +1,4 @@
-"""The PF001-PF007 hot-path perf rules against their seeded fixture.
+"""The PF001-PF008 hot-path perf rules against their seeded fixture.
 
 ``perf_hazards.py`` plants every pattern twice: once reachable from its
 fixture ``Environment.step`` (hot → error, ``[hot path]`` tag) and once
@@ -13,7 +13,9 @@ from repro.analysis.perf_rules import set_hot_profile
 
 from .test_static_rules import lines_for, lint_fixture, mark_lines
 
-PF_RULES = ["PF001", "PF002", "PF003", "PF004", "PF005", "PF006", "PF007"]
+PF_RULES = [
+    "PF001", "PF002", "PF003", "PF004", "PF005", "PF006", "PF007", "PF008",
+]
 
 
 def severities_at(findings, rule, lines):
@@ -90,6 +92,14 @@ class TestPerfRules:
                 continue
             assert ("tuple entry" in f.message) == (f.line in tuple_pushes)
 
+    def test_pf008_lines(self, linted):
+        source, findings = linted
+        expected = set(
+            mark_lines(source, "PF008-hot") + mark_lines(source, "PF008-cold")
+        )
+        # Module-level classes (Record, Environment) stay clean.
+        assert lines_for(findings, "PF008") == expected
+
     # -- severity escalation on the hot path -------------------------------
 
     @pytest.mark.parametrize(
@@ -101,6 +111,7 @@ class TestPerfRules:
             ("PF004", "PF004-hot", "PF004-cold"),
             ("PF006", "PF006-hot", "PF006-cold"),
             ("PF007", "PF007-hot", "PF007-cold"),
+            ("PF008", "PF008-hot", "PF008-cold"),
         ],
     )
     def test_hot_error_cold_warning(self, linted, rule, hot_mark, cold_mark):

@@ -112,7 +112,7 @@ class TestMpiPlacement:
         chosen = agg.place(job)
         for v in chosen:
             assert job.job_id in v.running_jobs
-            agg.release(job, v.worker_id)
+            agg.release(job.job_id, v.worker_id)
             assert job.job_id not in v.running_jobs
 
 
@@ -206,10 +206,10 @@ class TestIncrementalAggregates:
         group = agg.place(mpi_job(2))
         self._check(agg)
         for v in group:
-            agg.release(mpi_job(2), v.worker_id)
+            agg.release(mpi_job(2).job_id, v.worker_id)
             agg.mark_ready(v.worker_id, now=2.0, all_slots=True)
             self._check(agg)
-        agg.release(serial, placed_serial[0].worker_id)
+        agg.release(serial.job_id, placed_serial[0].worker_id)
         agg.mark_ready(placed_serial[0].worker_id, now=3.0)
         self._check(agg)
         assert agg.ready_workers == 4

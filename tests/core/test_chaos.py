@@ -246,6 +246,15 @@ class TestChaosPlans:
 
         assert once() == once()
 
+    def test_worker_lost_during_dispatch_service(self):
+        # Base seed 4, plan 147 kills a worker while the dispatcher charges
+        # the service time for a job it selected for that worker; the job
+        # must go back to the queue instead of crashing place().
+        _reset_id_counters()
+        result = run_chaos_plan(ChaosConfig(seed=4), 147)
+        assert result.ok, result.problems
+        assert result.jobs_ok + result.jobs_failed == result.jobs_submitted
+
 
 class TestDispatcherCrash:
     def test_scheduled_crash_triggers_event_once(self):

@@ -1,11 +1,16 @@
 """Tests for the crash-consistent write-ahead run journal."""
 
 import json
+import os
 
 import pytest
 
+import repro.core.journal as journal_mod
+from repro.apps.synthetic import SleepProgram
+from repro.cluster.machine import generic_cluster
+from repro.core.jets import Simulation
 from repro.core.journal import DEFAULT_BATCH_RECORDS, RunJournal, _plain
-from repro.core.tasklist import TaskList
+from repro.core.tasklist import JobSpec, TaskList
 from repro.simkernel.monitor import TraceRecord, record_line
 
 
@@ -77,6 +82,46 @@ class TestAppendAndFlush:
 
     def test_default_batch_keeps_tail_thin(self):
         assert 1 <= DEFAULT_BATCH_RECORDS <= 8192
+
+    def test_flush_without_new_records_does_not_sync(self, tmp_path, monkeypatch):
+        syncs = []
+        monkeypatch.setattr(journal_mod, "_fdatasync", syncs.append)
+        jn = RunJournal(str(tmp_path / "run.journal"), env=_Clock())
+        jn.flush()  # first sync persists the (empty) file
+        jn.flush()
+        jn.job_done("a", 0)
+        jn.flush()
+        jn.close()
+        assert len(syncs) == jn.flushes == 2
+
+    def test_journaled_run_syncs_once_per_durable_point(
+        self, tmp_path, monkeypatch
+    ):
+        # Header, submission batch and run_end each sync once; close()
+        # after run_end has nothing new to persist.
+        sizes = []
+        real = journal_mod._fdatasync
+
+        def counting(fd):
+            sizes.append(os.fstat(fd).st_size)
+            real(fd)
+
+        monkeypatch.setattr(journal_mod, "_fdatasync", counting)
+        path = tmp_path / "run.journal"
+        jn = RunJournal(str(path))
+        tasks = TaskList(
+            [
+                JobSpec(program=SleepProgram(0.2), nodes=1, mpi=False)
+                for _ in range(20)
+            ]
+        )
+        Simulation(
+            generic_cluster(nodes=2, cores_per_node=2), seed=0
+        ).run_standalone(tasks, journal=jn)
+        assert jn.closed
+        assert len(sizes) == jn.flushes == 3
+        assert sizes == sorted(set(sizes))  # every sync persisted new bytes
+        assert sizes[-1] == path.stat().st_size
 
 
 class TestFastPathEquivalence:

@@ -97,6 +97,30 @@ class TestBackfill:
             BackfillPolicy(window=0)
 
 
+class TestPushFront:
+    """A job handed back after select() is the next one selected."""
+
+    @pytest.mark.parametrize("name", ["fifo", "priority", "backfill"])
+    def test_returned_job_selected_next(self, name):
+        p = make_policy(name)
+        a, b = job(), job()
+        p.push(a)
+        p.push(b)
+        assert p.select(lambda j: True) is a
+        p.push_front(a)
+        assert p.pending() == [a, b]
+        assert p.select(lambda j: True) is a
+
+    def test_priority_keeps_level_order(self):
+        p = PriorityPolicy()
+        lazy, urgent = job(priority=5), job(priority=1)
+        p.push(lazy)
+        assert p.select(lambda j: True) is lazy
+        p.push(urgent)
+        p.push_front(lazy)
+        assert p.pending() == [urgent, lazy]
+
+
 class TestFactory:
     @pytest.mark.parametrize(
         "name,cls",

@@ -1,5 +1,7 @@
 """Tests for the DES kernel: events, processes, conditions, interrupts."""
 
+import gc
+
 import pytest
 
 from repro.simkernel import (
@@ -197,6 +199,35 @@ class TestProcess:
         p = env.process(proc())
         env.run()
         assert p.value == 7
+
+    def test_finished_process_holds_no_bound_method_to_itself(self, env):
+        # A bound method of a finished process would make it a reference
+        # cycle, leaving every terminated process to the cycle collector.
+        def returns():
+            yield env.timeout(1)
+
+        def raises():
+            yield env.timeout(1)
+            raise RuntimeError("x")
+
+        def waiter(p):
+            try:
+                yield p
+            except RuntimeError:
+                pass
+
+        done = env.process(returns())
+        failed = env.process(raises())
+        env.process(waiter(failed))
+        assert any(_bound_to(r, done) for r in gc.get_referents(done))
+        env.run()
+        for p in (done, failed):
+            assert not p.is_alive
+            assert not any(_bound_to(r, p) for r in gc.get_referents(p))
+
+
+def _bound_to(obj, target) -> bool:
+    return getattr(obj, "__self__", None) is target
 
 
 class TestInterrupt:

@@ -1,5 +1,7 @@
 """Tests for Resource, Store, PriorityStore, FilterStore, Container."""
 
+import gc
+
 import pytest
 
 from repro.simkernel import (
@@ -31,6 +33,16 @@ class TestResource:
         env.process(proc("b"))
         env.run()
         assert [t for _tag, t in got] == [0, 0]
+
+    def test_granted_request_is_not_its_own_value(self, env):
+        # A request carrying itself as its value is a reference cycle per
+        # grant; the grant carries no value.
+        res = Resource(env, 1)
+        req = res.request()
+        env.run()
+        assert req.triggered and req.ok
+        assert req.value is None
+        assert req not in gc.get_referents(req)
 
     def test_fifo_queueing(self, env):
         res = Resource(env, 1)
