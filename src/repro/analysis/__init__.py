@@ -21,50 +21,3 @@ every metric is derived from well-formed trace records (paper Section
 * :mod:`.explore` — bounded schedule exploration (``jets explore``).
 * :mod:`.cli` — the ``jets lint`` / ``jets lint-trace`` subcommands.
 """
-
-from .framework import (
-    Finding,
-    LintResult,
-    Module,
-    ProjectRule,
-    Rule,
-    all_rules,
-    lint_paths,
-    lint_source,
-    register,
-    rules_for,
-)
-from .lifecycle import (
-    JOB_MACHINE,
-    MACHINES,
-    PROXY_MACHINE,
-    WORKER_MACHINE,
-    StateMachine,
-)
-from .schema import CategorySpec, REGISTRY, known_category, lookup
-from .tracecheck import TraceIssue, validate_records, validate_trace
-
-__all__ = [
-    "CategorySpec",
-    "Finding",
-    "JOB_MACHINE",
-    "LintResult",
-    "MACHINES",
-    "Module",
-    "PROXY_MACHINE",
-    "ProjectRule",
-    "REGISTRY",
-    "Rule",
-    "StateMachine",
-    "TraceIssue",
-    "WORKER_MACHINE",
-    "all_rules",
-    "known_category",
-    "lint_paths",
-    "lint_source",
-    "lookup",
-    "register",
-    "rules_for",
-    "validate_records",
-    "validate_trace",
-]

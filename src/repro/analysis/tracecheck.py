@@ -12,7 +12,11 @@ Validation codes:
 * **TV001** — unknown trace category.
 * **TV002** — payload schema violation (missing/unknown key, not a dict).
 * **TV003** — non-monotonic record timestamps.
-* **TV004** — illegal lifecycle transition for a job/worker/proxy.
+* **TV004** — illegal lifecycle transition for a job/worker/proxy.  A
+  job record attributed to a worker after that worker's ``worker.lost``
+  comes from a zombie (a partitioned pilot still running a stale
+  attempt), not from the job's lifecycle, and is not replayed until the
+  worker registers again.
 * **TV005** — lifecycle record without its entity id.
 """
 
@@ -117,6 +121,8 @@ class TraceValidator:
         self.check_lifecycle = check_lifecycle
         self.issues: list[TraceIssue] = []
         self._replays = {prefix: _Replay(m) for prefix, m in MACHINES.items()}
+        #: Workers declared lost and not registered since.
+        self._zombies: set[object] = set()
         self._last_time: Optional[float] = None
         self._index = 0
 
@@ -167,6 +173,13 @@ class TraceValidator:
                     "TV005",
                     f"lifecycle record lacks its {machine.id_key!r} id key",
                 )
+                return
+            if prefix == "worker":
+                if event == "lost":
+                    self._zombies.add(entity)
+                elif event == "registered":
+                    self._zombies.discard(entity)
+            elif prefix == "job" and data.get("worker") in self._zombies:
                 return
             problem = replay.apply(entity, event)
             if problem is not None:

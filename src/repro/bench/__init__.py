@@ -21,24 +21,3 @@ Benchmark workloads intentionally read the wall clock — they measure it.
 Every such call site carries a ``# repro: noqa[DT001]`` marker so the
 determinism linter keeps protecting the simulation code proper.
 """
-
-from .harness import (
-    BenchResult,
-    SuiteRun,
-    compare_runs,
-    load_baseline,
-    run_suite,
-    write_suite,
-)
-from .workloads import SUITES, Workload
-
-__all__ = [
-    "BenchResult",
-    "SuiteRun",
-    "SUITES",
-    "Workload",
-    "compare_runs",
-    "load_baseline",
-    "run_suite",
-    "write_suite",
-]

@@ -1,50 +1,1 @@
 """The JETS middleware: dispatcher, workers, aggregation, fault tolerance."""
-
-from .aggregator import Aggregator, WorkerView
-from .chaos import ChaosConfig, ChaosEngine, FaultClause, FaultPlan
-from .dispatcher import CompletedJob, JetsDispatcher, JetsServiceConfig
-from .faults import ARRIVAL_MODES, FaultInjector
-from .jets import FaultSpec, JetsConfig, Simulation, StandaloneReport
-from .policies import (
-    BackfillPolicy,
-    FifoPolicy,
-    PriorityPolicy,
-    QueuePolicy,
-    make_policy,
-)
-from .recovery import PilotKeeper, RecoveryPolicy
-from .staging import StagingError, StagingManager
-from .tasklist import JobSpec, TaskList, TaskListError
-from .worker import WORKER_IMAGE, WorkerAgent
-
-__all__ = [
-    "ARRIVAL_MODES",
-    "Aggregator",
-    "BackfillPolicy",
-    "ChaosConfig",
-    "ChaosEngine",
-    "CompletedJob",
-    "FaultClause",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "FifoPolicy",
-    "JetsConfig",
-    "JetsDispatcher",
-    "JetsServiceConfig",
-    "JobSpec",
-    "PilotKeeper",
-    "PriorityPolicy",
-    "QueuePolicy",
-    "RecoveryPolicy",
-    "Simulation",
-    "StagingError",
-    "StagingManager",
-    "StandaloneReport",
-    "TaskList",
-    "TaskListError",
-    "WORKER_IMAGE",
-    "WorkerAgent",
-    "WorkerView",
-    "make_policy",
-]

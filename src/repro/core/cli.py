@@ -69,9 +69,6 @@ import sys
 from typing import Optional, Sequence
 
 from ..cluster.machine import breadboard, eureka, generic_cluster, surveyor
-from ..obs.export import iter_jsonl
-from ..obs.report import render_report
-from ..obs.spans import SpanBuilder
 from ..obs.session import session as obs_scope, unwritable_reason
 from .jets import FaultSpec, JetsConfig, Simulation, service_config_for
 from .tasklist import TaskList, TaskListError
@@ -216,6 +213,10 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
         return follow(
             args.tracefile, poll=args.poll, idle_timeout=args.idle_timeout
         )
+    from ..obs.export import iter_jsonl
+    from ..obs.report import render_report
+    from ..obs.spans import SpanBuilder
+
     builders: dict[int, SpanBuilder] = {}
     perf: dict[int, dict] = {}
     try:

@@ -1,26 +1,1 @@
 """Metrics: Eq. (1) utilization, timelines, summary statistics."""
-
-from .stats import Summary, ascii_series, ascii_table, histogram, summarize
-from .timeline import (
-    available_workers_series,
-    gauge_to_arrays,
-    running_jobs_series,
-    sample_series,
-    step_series,
-)
-from .utilization import UtilizationLedger, equation1
-
-__all__ = [
-    "Summary",
-    "UtilizationLedger",
-    "ascii_series",
-    "ascii_table",
-    "available_workers_series",
-    "equation1",
-    "gauge_to_arrays",
-    "histogram",
-    "running_jobs_series",
-    "sample_series",
-    "step_series",
-    "summarize",
-]

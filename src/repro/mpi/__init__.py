@@ -1,34 +1,1 @@
 """Simulated MPICH2 stack: PMI, communicator, Hydra mpiexec/proxy model."""
-
-from .app import FuncProgram, MpiProgram, RankContext
-from .comm import MpiAbort, SimComm
-from .hydra import (
-    PROXY_IMAGE,
-    HydraConfig,
-    JobResult,
-    MpiexecController,
-    ProxyCommand,
-    run_proxy,
-)
-from .io import CollectiveFile, default_aggregators, independent_read, independent_write
-from .pmi import PmiError, PmiKvs
-
-__all__ = [
-    "CollectiveFile",
-    "FuncProgram",
-    "HydraConfig",
-    "JobResult",
-    "MpiAbort",
-    "MpiProgram",
-    "MpiexecController",
-    "PROXY_IMAGE",
-    "PmiError",
-    "PmiKvs",
-    "ProxyCommand",
-    "RankContext",
-    "SimComm",
-    "default_aggregators",
-    "independent_read",
-    "independent_write",
-    "run_proxy",
-]

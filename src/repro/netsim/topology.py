@@ -2,17 +2,19 @@
 
 Provides the BG/P-style 3D torus (used for hop-count-aware latency and for
 the network-aware grouping extension of Section 7) and a flat switched
-topology for the ethernet clusters.  Graphs are built with networkx; hop
-counts on the torus use the closed-form wrap-around Manhattan distance and
-are cross-checked against networkx shortest paths in the tests.
+topology for the ethernet clusters.  Hop counts on the torus use the
+closed-form wrap-around Manhattan distance; :meth:`Torus3D.graph` builds
+the explicit networkx graph the tests cross-check them against, and is
+the only code that imports networkx.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Topology", "Torus3D", "SwitchedFlat", "torus_dims_for"]
 
@@ -83,6 +85,8 @@ class Torus3D(Topology):
 
     def graph(self) -> nx.Graph:
         """Explicit networkx graph of the torus (for verification/analysis)."""
+        import networkx as nx
+
         g = nx.Graph()
         x, y, z = self.dims
         for cx, cy, cz in itertools.product(range(x), range(y), range(z)):

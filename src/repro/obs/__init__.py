@@ -15,40 +15,12 @@ instrumentation).  Four pieces:
 
 :mod:`repro.obs.session` ties them to the CLIs: ``with
 obs.session(trace_out="run.jsonl", report=True):`` captures every
-platform built inside the block and exports on exit.
+platform built inside the block and exports on exit.  The package
+re-exports only the session API: the other modules are imported by the
+code that uses them, so a run that exports nothing never loads the
+exporters (DESIGN.md §11).
 """
 
-from .export import read_jsonl, to_chrome_trace, to_jsonl
-from .metrics import Histogram, Registry, quantile
-from .report import RunReport, render_report
 from .session import ObsSession, active, session
-from .spans import (
-    AttemptSpan,
-    JobSpan,
-    ProxySpan,
-    RunSpans,
-    Transition,
-    WorkerSpan,
-    build_spans,
-)
 
-__all__ = [
-    "AttemptSpan",
-    "Histogram",
-    "JobSpan",
-    "ObsSession",
-    "ProxySpan",
-    "Registry",
-    "RunReport",
-    "RunSpans",
-    "Transition",
-    "WorkerSpan",
-    "active",
-    "build_spans",
-    "quantile",
-    "read_jsonl",
-    "render_report",
-    "session",
-    "to_chrome_trace",
-    "to_jsonl",
-]
+__all__ = ["ObsSession", "active", "session"]

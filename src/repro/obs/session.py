@@ -16,12 +16,14 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import IO, Optional
+from typing import IO, TYPE_CHECKING, Optional
 
 from ..simkernel import StreamingTrace, Trace, TraceSink
 from .metrics import Registry
-from .progress import ProgressTracker
-from .spans import SpanBuilder
+
+if TYPE_CHECKING:
+    from .progress import ProgressTracker
+    from .spans import SpanBuilder
 
 __all__ = ["ObsSession", "session", "active", "unwritable_reason"]
 
@@ -129,6 +131,8 @@ class ObsSession:
                 # span state is bounded by entity count (jobs/workers),
                 # not record count, but a pure spill session shouldn't
                 # pay even that.
+                from .spans import SpanBuilder
+
                 builder = SpanBuilder()
                 trace.subscribe(builder.fold)
                 self._span_builders.append(builder)
@@ -139,6 +143,8 @@ class ObsSession:
             # hand-built platform); keep the fold list index-aligned.
             self._span_builders.append(None)
         if self.progress_every:
+            from .progress import ProgressTracker
+
             self._trackers.append(
                 ProgressTracker(
                     trace, every=self.progress_every, registry=registry
@@ -169,13 +175,12 @@ class ObsSession:
         """Write every configured output for the captured runs."""
         if not self.runs:
             return
-        from .export import to_chrome_trace, to_jsonl
-        from .report import render_report
-
         if self.stream:
-            self._flush_streaming(to_chrome_trace, render_report)
+            self._flush_streaming()
             return
         if self.trace_out:
+            from .export import to_jsonl
+
             try:
                 with open(self.trace_out, "w") as fh:
                     for i, (label, trace, _reg) in enumerate(self.runs):
@@ -198,6 +203,8 @@ class ObsSession:
                 print(f"obs: cannot write {self.trace_out}: {exc}",
                       file=sys.stderr)
         if self.chrome_out:
+            from .export import to_chrome_trace
+
             try:
                 to_chrome_trace(
                     [
@@ -210,6 +217,8 @@ class ObsSession:
                 print(f"obs: cannot write {self.chrome_out}: {exc}",
                       file=sys.stderr)
         if self.report:
+            from .report import render_report
+
             stream = self.report_stream or sys.stdout
             flush_wall = time.perf_counter()  # repro: noqa[DT001]
             for i, (label, trace, registry) in enumerate(self.runs):
@@ -235,16 +244,17 @@ class ObsSession:
                     file=stream,
                 )
 
-    def _flush_streaming(self, to_chrome_trace, render_report) -> None:
+    def _flush_streaming(self) -> None:
         """Streaming-mode flush: records already spilled as runs ran.
 
         Closes the last sink (drain + trailer), then renders the Chrome
         trace and reports from the incrementally-folded spans — the
         full record stream is never rematerialized.
         """
-        from .spans import build_spans
-
         self._close_open_sink()
+        if not (self.chrome_out or self.report):
+            return
+        from .spans import build_spans
 
         def spans_for(i: int, trace: TraceSink):
             builder = (
@@ -257,6 +267,8 @@ class ObsSession:
             return build_spans(trace)
 
         if self.chrome_out:
+            from .export import to_chrome_trace
+
             try:
                 to_chrome_trace(
                     [
@@ -271,6 +283,8 @@ class ObsSession:
                 print(f"obs: cannot write {self.chrome_out}: {exc}",
                       file=sys.stderr)
         if self.report:
+            from .report import render_report
+
             stream = self.report_stream or sys.stdout
             flush_wall = time.perf_counter()  # repro: noqa[DT001]
             for i, (label, trace, registry) in enumerate(self.runs):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_source
+from repro.analysis.framework import lint_source
 from repro.analysis.framework import rules_for
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -195,7 +195,7 @@ class TestRuleSelection:
 
 def test_repo_sources_lint_clean():
     """The shipped tree has no un-suppressed findings (acceptance gate)."""
-    from repro.analysis import lint_paths
+    from repro.analysis.framework import lint_paths
 
     src = Path(__file__).parents[2] / "src"
     result = lint_paths([str(src)])

@@ -123,6 +123,47 @@ class TestLifecycleChecks:
         )
         assert issues == []
 
+    def serial_attempt(self, worker):
+        return [
+            self.job("submitted", 0.0, mpi=False, nodes=1, ppn=1),
+            self.job("queued", 0.1, attempt=0),
+            self.job("grouped", 0.2, attempt=0, workers=[worker]),
+            self.job("app_running", 0.3, worker=worker, serial=True),
+        ]
+
+    def test_duplicate_app_running_from_live_worker_is_tv004(self):
+        issues = validate_records(
+            self.serial_attempt(6)
+            + [self.job("app_running", 0.4, worker=6, serial=True)]
+        )
+        assert codes(issues) == ["TV004"]
+        assert "app_running -> app_running" in issues[0].message
+
+    def test_lost_worker_records_belong_to_a_zombie(self):
+        # The dispatcher gives up on partitioned worker 6 and reruns the
+        # job on worker 8; worker 6 is still alive and later starts its
+        # stale attempt.  Once it registers again, its records count.
+        def worker(t, event, **extra):
+            return rec(t, f"worker.{event}", {"worker": 6, **extra})
+
+        rerun = [
+            worker(0.5, "lost", reason="heartbeat timeout"),
+            self.job("retry", 0.5, attempt=1, error="worker 6 lost"),
+            self.job("queued", 0.6, attempt=1),
+            self.job("grouped", 0.7, attempt=1, workers=[8]),
+            self.job("app_running", 0.8, worker=8, serial=True),
+        ]
+        stale = self.job("app_running", 0.9, worker=6, serial=True)
+        records = (
+            [worker(0.0, "registered", node=4)]
+            + self.serial_attempt(6) + rerun + [stale]
+        )
+        assert validate_records(records) == []
+        back = [worker(1.0, "stop"), worker(1.0, "registered", node=4)]
+        again = self.job("app_running", 1.1, worker=6, serial=True)
+        issues = validate_records(records + back + [again])
+        assert codes(issues) == ["TV004"]
+
     def test_flags_disable_their_checks(self):
         bad = [
             rec(0.0, "no.such.category", {"x": 1}),

@@ -255,6 +255,14 @@ class TestChaosPlans:
         assert result.ok, result.problems
         assert result.jobs_ok + result.jobs_failed == result.jobs_submitted
 
+    def test_zombie_worker_runs_a_stale_attempt(self):
+        # Base seed 54, plan 96: the dispatcher declares partitioned
+        # worker 6 lost and reruns its jobs on worker 8; worker 6 then
+        # receives the delayed RUN_TASK and logs app_running again.
+        _reset_id_counters()
+        result = run_chaos_plan(ChaosConfig(seed=54), 96)
+        assert result.ok, result.problems
+
 
 class TestDispatcherCrash:
     def test_scheduled_crash_triggers_event_once(self):
