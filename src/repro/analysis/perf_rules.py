@@ -1,4 +1,4 @@
-"""Hot-path performance rules (PF001-PF008).
+"""Hot-path performance rules (PF001-PF009).
 
 The JETS scaling story lives or dies in the per-event inner loops: the
 kernel event loop, the store dispatch fixpoints, and the dispatcher /
@@ -21,6 +21,7 @@ import ast
 from typing import Iterator, Optional, Sequence
 
 from .callgraph import CallGraph, shared_graph
+from .determinism_rules import _dotted, _imported_names
 from .framework import Finding, Module, ProjectRule, register
 
 __all__ = ["set_hot_profile", "hot_profile"]
@@ -692,6 +693,66 @@ class ClassInFunctionBody(PerfRule):
                     "call; define it once at module level",
                     self.is_hot(module, graph, hot, node),
                 )
+
+
+#: The stdlib JSON encoder entry points, by their qualified names.
+_JSON_ENCODERS = frozenset(
+    {"json.dumps", "json.dump", "json.JSONEncoder", "json.encoder.JSONEncoder"}
+)
+
+
+@register
+class JsonEncoderPerCall(PerfRule):
+    """A ``json.dumps``, ``json.dump`` or ``JSONEncoder(...)`` call on
+    the hot path or in a loop body.
+
+    ``json.dumps`` with any argument besides the object (compact
+    ``separators`` included) builds a new ``JSONEncoder``, and the
+    encode builds a new C encoder under it, on every call.  Per record
+    that was most of the cost of durability: the trace spill spent about
+    7.7 µs a record in ``json.dumps``, where one encoder kept per run
+    takes about 2.7 µs (DESIGN.md §15).  Encode archival lines with
+    :func:`repro.simkernel.monitor.record_encoder`, built once per run
+    tag; build any other encoder once, outside the loop.  A one-off
+    dump off the hot path (a report printed once, a result file written
+    at exit) is fine and is not flagged.
+    """
+
+    id = "PF009"
+    description = (
+        "json.dumps/json.dump/JSONEncoder() call (a new encoder per "
+        "call); error on the hot path, warning in a loop body"
+    )
+    example_bad = (
+        "for rec in records:\n"
+        "    fh.write(json.dumps({\"t\": rec.time}, separators=(\",\", \":\")))"
+    )
+    example_good = (
+        "encode = record_encoder(run, label)\n"
+        "for rec in records:\n"
+        "    fh.write(encode(rec.time, rec.category, rec.data))"
+    )
+
+    def check_module(
+        self, module: Module, graph: CallGraph, hot: frozenset[str]
+    ) -> Iterator[Finding]:
+        origins = _imported_names(module)
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            dotted = _dotted(node.func)
+            head, dot, rest = dotted.partition(".")
+            if origins.get(head, head) + dot + rest not in _JSON_ENCODERS:
+                continue
+            is_hot = self.is_hot(module, graph, hot, node)
+            if not is_hot and _enclosing_loop(module, node) is None:
+                continue
+            yield self.pf_finding(
+                module, node,
+                f"{dotted}() builds a JSON encoder per call; build one "
+                "encoder and keep it (record_encoder for archival lines)",
+                is_hot,
+            )
 
 
 _LIST_MAKERS = frozenset({"list", "sorted"})

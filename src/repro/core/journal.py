@@ -4,12 +4,12 @@ The dispatcher appends one JSONL record for every durable state
 transition — job submitted/launched/done/failed/retried, worker
 registered/lost, run begin/end — *before* acting on it, so a fresh
 process can rebuild the run's accounting after the dispatcher dies
-(:mod:`.resume`).  Records reuse :func:`repro.simkernel.monitor.
-record_line`, the single archival trace encoder, so a journal is a
-valid ``jets lint-trace`` input: each journal *segment* (the original
-run is segment 0; every resume appends the next) is tagged as its own
-run, keeping per-run time monotonicity intact across resume
-boundaries.
+(:mod:`.resume`).  Each segment encodes its records with one
+:func:`repro.simkernel.monitor.record_encoder`, the archival trace
+encoder, so a journal is a valid ``jets lint-trace`` input: each
+journal *segment* (the original run is segment 0; every resume appends
+the next) is tagged as its own run, keeping per-run time monotonicity
+intact across resume boundaries.
 
 Durability model (classic WAL):
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 from typing import Any, Optional
 
-from ..simkernel.monitor import TraceRecord, record_line
+from ..simkernel.monitor import record_encoder
 
 __all__ = ["RunJournal"]
 
@@ -72,21 +72,6 @@ def _truncate_torn_tail(path: str) -> None:
         fh.truncate(0)
 
 
-def _plain(s: str) -> bool:
-    """True when ``json.dumps(s)`` is exactly ``'"' + s + '"'``.
-
-    Gate for the template fast path below: a plain string needs no JSON
-    escaping, so it can be spliced into a pre-shaped record line without
-    round-tripping through the encoder.
-    """
-    return (
-        type(s) is str
-        and s.isascii()
-        and s.isprintable()
-        and '"' not in s
-        and "\\" not in s
-    )
-
 #: Records buffered between fsync batches.  Large enough that journal
 #: I/O stays off the hot path (<5% wall on fig06_rate), small enough
 #: that a crash forfeits only a tail of settled-state records — losing
@@ -124,9 +109,7 @@ class RunJournal:
             # always ends on a record boundary.
             _truncate_torn_tail(path)
         self._fh = open(path, "a" if append else "w", encoding="utf-8")
-        #: Pre-shaped line suffix for the template fast path; must match
-        #: :func:`record_line`'s key order (t, cat, data, run) exactly.
-        self._run_tail = f',"run":{self.segment}}}\n'
+        self._encode = record_encoder(segment)
         self.records = 0
         self.flushes = 0
         self.closed = False
@@ -137,19 +120,18 @@ class RunJournal:
 
     # -- raw append/flush --------------------------------------------------
 
-    def _push(self, line: str) -> None:
-        """Buffer one pre-encoded line; flush + fsync at batch boundary."""
-        if self.closed:
-            raise RuntimeError(f"journal {self.path} is closed")
-        self._buf.append(line)
-        self.records += 1
-        if len(self._buf) >= self.batch_records:
-            self.flush()
-
     def append(self, category: str, data: Optional[dict] = None) -> None:
         """Buffer one record; flush + fsync at every batch boundary."""
-        now = self._env.now if self._env is not None else 0.0
-        self._push(record_line(TraceRecord(now, category, data), run=self.segment))
+        if self.closed:
+            raise RuntimeError(f"journal {self.path} is closed")
+        env = self._env
+        buf = self._buf
+        buf.append(
+            self._encode(env.now if env is not None else 0.0, category, data)
+        )
+        self.records += 1
+        if len(buf) >= self.batch_records:
+            self.flush()
 
     def flush(self) -> None:
         """Force buffered records to stable storage (write + fdatasync).
@@ -235,31 +217,7 @@ class RunJournal:
         )
         self.flush()
 
-    # The per-job helpers below are the journal's hot path (3+ records
-    # per job at fig06 scale).  Each formats its line with an f-string
-    # template byte-identical to :func:`record_line` output whenever the
-    # spliced strings are :func:`_plain`, and falls back to the real
-    # encoder otherwise — ``tests/core/test_journal.py`` pins the
-    # equivalence.  The template path is ~10x cheaper than
-    # ``record_line`` and is what keeps journaling-on under the <5%
-    # wall-overhead gate on ``fig06_rate``.
-
     def job_submitted(self, job) -> None:
-        if _plain(job.job_id) and _plain(job.command) and not self.closed:
-            now = self._env.now if self._env is not None else 0.0
-            buf = self._buf
-            buf.append(
-                f'{{"t":{now!r},"cat":"journal.job_submitted","data":{{'
-                f'"job":"{job.job_id}","mpi":{"true" if job.mpi else "false"}'
-                f',"nodes":{job.nodes},"ppn":{job.ppn},"command":"{job.command}"'
-                f',"max_attempts":{job.max_attempts},"attempts":{job.attempts}'
-                f',"duration_hint":{job.duration_hint!r},"priority":{job.priority}'
-                f"}}{self._run_tail}"
-            )
-            self.records += 1
-            if len(buf) >= self.batch_records:
-                self.flush()
-            return
         self.append(
             "journal.job_submitted",
             {
@@ -276,17 +234,6 @@ class RunJournal:
         )
 
     def job_launched(self, job_id: str, attempt: int) -> None:
-        if _plain(job_id) and not self.closed:
-            now = self._env.now if self._env is not None else 0.0
-            buf = self._buf
-            buf.append(
-                f'{{"t":{now!r},"cat":"journal.job_launched","data":{{'
-                f'"job":"{job_id}","attempt":{attempt}}}{self._run_tail}'
-            )
-            self.records += 1
-            if len(buf) >= self.batch_records:
-                self.flush()
-            return
         self.append("journal.job_launched", {"job": job_id, "attempt": attempt})
 
     def job_retry(
@@ -301,70 +248,21 @@ class RunJournal:
         self.append("journal.job_retry", data)
 
     def job_done(self, job_id: str, attempt: int) -> None:
-        if _plain(job_id) and not self.closed:
-            now = self._env.now if self._env is not None else 0.0
-            buf = self._buf
-            buf.append(
-                f'{{"t":{now!r},"cat":"journal.job_done","data":{{'
-                f'"job":"{job_id}","attempt":{attempt}}}{self._run_tail}'
-            )
-            self.records += 1
-            if len(buf) >= self.batch_records:
-                self.flush()
-            return
         self.append("journal.job_done", {"job": job_id, "attempt": attempt})
 
     def job_failed(self, job_id: str, attempt: int, error: str = "") -> None:
-        if _plain(job_id) and (not error or _plain(error)) and not self.closed:
-            now = self._env.now if self._env is not None else 0.0
-            err = f',"error":"{error}"' if error else ""
-            buf = self._buf
-            buf.append(
-                f'{{"t":{now!r},"cat":"journal.job_failed","data":{{'
-                f'"job":"{job_id}","attempt":{attempt}{err}}}{self._run_tail}'
-            )
-            self.records += 1
-            if len(buf) >= self.batch_records:
-                self.flush()
-            return
         data: dict[str, Any] = {"job": job_id, "attempt": attempt}
         if error:
             data["error"] = error
         self.append("journal.job_failed", data)
 
     def worker_registered(self, worker_id, node_id) -> None:
-        if type(node_id) is int:
-            wid = None
-            if type(worker_id) is int:
-                wid = f"{worker_id}"
-            elif _plain(worker_id):
-                wid = f'"{worker_id}"'
-            if wid is not None:
-                now = self._env.now if self._env is not None else 0.0
-                self._push(
-                    f'{{"t":{now!r},"cat":"journal.worker_registered","data":{{'
-                    f'"worker":{wid},"node":{node_id}}}{self._run_tail}'
-                )
-                return
         self.append(
             "journal.worker_registered",
             {"worker": worker_id, "node": node_id},
         )
 
     def worker_lost(self, worker_id, reason: str = "") -> None:
-        wid = None
-        if type(worker_id) is int:
-            wid = f"{worker_id}"
-        elif _plain(worker_id):
-            wid = f'"{worker_id}"'
-        if wid is not None and (not reason or _plain(reason)):
-            now = self._env.now if self._env is not None else 0.0
-            why = f',"reason":"{reason}"' if reason else ""
-            self._push(
-                f'{{"t":{now!r},"cat":"journal.worker_lost","data":{{'
-                f'"worker":{wid}{why}}}{self._run_tail}'
-            )
-            return
         data: dict[str, Any] = {"worker": worker_id}
         if reason:
             data["reason"] = reason

@@ -4,34 +4,7 @@ Each module exposes ``run(...)`` (rows at configurable scale), ``verify``
 (the paper's qualitative claims as assertions), ``PAPER`` reference values,
 and ``main()`` for a paper-scale run with a printed table.  The
 ``benchmarks/`` directory wraps these in pytest-benchmark targets.
+
+The package re-exports nothing (DESIGN.md §11): import the harness you
+run, ``from repro.experiments import fig09_bgp``, and only it loads.
 """
-
-from . import (
-    ablations,
-    capacity,
-    mpiio,
-    fig06_sequential,
-    fig07_cluster,
-    fig08_pingpong,
-    fig09_bgp,
-    fig10_faults,
-    fig11_namd_dist,
-    fig12_namd_util,
-    fig15_swift_synthetic,
-    fig18_rem,
-)
-
-__all__ = [
-    "ablations",
-    "capacity",
-    "mpiio",
-    "fig06_sequential",
-    "fig07_cluster",
-    "fig08_pingpong",
-    "fig09_bgp",
-    "fig10_faults",
-    "fig11_namd_dist",
-    "fig12_namd_util",
-    "fig15_swift_synthetic",
-    "fig18_rem",
-]

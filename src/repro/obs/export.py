@@ -20,7 +20,7 @@ import json
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from ..simkernel import Trace, TraceRecord
-from ..simkernel.monitor import record_line, sanitize, trailer_line
+from ..simkernel.monitor import record_encoder, sanitize, trailer_line
 from .spans import RunSpans, build_spans
 
 __all__ = [
@@ -58,6 +58,7 @@ class CanonicalDigest:
 
     def __init__(self) -> None:
         self._sha = hashlib.sha256()
+        self._encode = record_encoder()
         self._batch_time: Optional[float] = None
         self._batch: list[bytes] = []
         self.records = 0
@@ -66,7 +67,9 @@ class CanonicalDigest:
         if rec.time != self._batch_time:
             self._flush()
             self._batch_time = rec.time
-        self._batch.append(record_line(rec).encode())
+        self._batch.append(
+            self._encode(rec.time, rec.category, rec.data).encode()
+        )
         self.records += 1
 
     def _flush(self) -> None:
@@ -112,10 +115,11 @@ def to_jsonl(
         close = True
     else:
         fh = out
+    encode = record_encoder(run, label)
     n = 0
     try:
         for rec in records:
-            fh.write(record_line(rec, run, label))
+            fh.write(encode(rec.time, rec.category, rec.data))
             n += 1
         if perf is not None:
             fh.write(trailer_line(perf, run))
@@ -132,34 +136,7 @@ def read_jsonl(
 
     ``run`` filters to one tagged run; None returns every record.
     """
-    close = False
-    if isinstance(source, str):
-        fh = open(source)
-        close = True
-    else:
-        fh = source
-    records: list[TraceRecord] = []
-    try:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            obj = json.loads(raw)
-            if "meta" in obj:
-                continue
-            if run is not None and obj.get("run", 0) != run:
-                continue
-            records.append(
-                TraceRecord(
-                    time=float(obj["t"]),
-                    category=obj["cat"],
-                    data=obj.get("data"),
-                )
-            )
-    finally:
-        if close:
-            fh.close()
-    return records
+    return [rec for _tag, rec in iter_jsonl(source, run)]
 
 
 def iter_jsonl(
@@ -169,24 +146,27 @@ def iter_jsonl(
 ) -> Iterator[tuple[int, TraceRecord]]:
     """Stream a JSONL dump as ``(run, record)`` pairs, one line in RAM.
 
-    The bounded-memory reload path: ``jets report`` / ``jets lint-trace``
-    fold records through this instead of materializing the whole dump, so
-    spilled million-record traces replay in flat memory.  ``run`` filters
-    to one tagged run; ``on_perf(run, perf_dict)`` is called for every
-    ``{"meta": "perf"}`` trailer encountered.
+    The one reader loop behind every JSONL fold here: ``jets report`` /
+    ``jets lint-trace`` fold records through it instead of materializing
+    the whole dump, so spilled million-record traces replay in flat
+    memory.  ``run`` filters to one tagged run; ``on_perf(run,
+    perf_dict)`` is called for every ``{"meta": "perf"}`` trailer
+    encountered.  A line that is not JSON raises :class:`ValueError`
+    naming the file and the line.
     """
-    close = False
-    if isinstance(source, str):
-        fh = open(source)
-        close = True
-    else:
-        fh = source
+    fh = open(source) if isinstance(source, str) else source
+    name = getattr(fh, "name", "<stream>")
     try:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             raw = raw.strip()
             if not raw:
                 continue
-            obj = json.loads(raw)
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{name}:{lineno}:{exc.colno}: {exc.msg}"
+                ) from None
             if "meta" in obj:
                 if obj.get("meta") == "perf" and on_perf is not None:
                     on_perf(
@@ -206,37 +186,15 @@ def iter_jsonl(
                 data=obj.get("data"),
             )
     finally:
-        if close:
+        if fh is not source:
             fh.close()
 
 
 def jsonl_runs(source: Union[str, IO[str]]) -> dict[int, list[TraceRecord]]:
     """Group a JSONL dump's records by their ``run`` tag (0 if untagged)."""
-    close = False
-    if isinstance(source, str):
-        fh = open(source)
-        close = True
-    else:
-        fh = source
     runs: dict[int, list[TraceRecord]] = {}
-    try:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            obj = json.loads(raw)
-            if "meta" in obj:
-                continue
-            runs.setdefault(obj.get("run", 0), []).append(
-                TraceRecord(
-                    time=float(obj["t"]),
-                    category=obj["cat"],
-                    data=obj.get("data"),
-                )
-            )
-    finally:
-        if close:
-            fh.close()
+    for tag, rec in iter_jsonl(source):
+        runs.setdefault(tag, []).append(rec)
     return runs
 
 
@@ -247,28 +205,9 @@ def jsonl_perf(source: Union[str, IO[str]]) -> dict[int, dict]:
     every ``{"meta": "perf"}`` line; dumps written before the trailer
     existed simply yield ``{}``.
     """
-    close = False
-    if isinstance(source, str):
-        fh = open(source)
-        close = True
-    else:
-        fh = source
     perf: dict[int, dict] = {}
-    try:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            obj = json.loads(raw)
-            if obj.get("meta") != "perf":
-                continue
-            run = obj.get("run", 0)
-            perf[run] = {
-                k: v for k, v in obj.items() if k not in ("meta", "run")
-            }
-    finally:
-        if close:
-            fh.close()
+    for _ in iter_jsonl(source, on_perf=perf.__setitem__):
+        pass
     return perf
 
 

@@ -23,11 +23,11 @@ Two trace sinks implement the :class:`TraceSink` contract:
 
 from __future__ import annotations
 
-import json
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Iterable, Optional
 
 from .core import Environment
@@ -41,6 +41,7 @@ __all__ = [
     "Gauge",
     "IntervalLog",
     "sanitize",
+    "record_encoder",
     "record_line",
     "trailer_line",
 ]
@@ -57,24 +58,99 @@ def sanitize(value):
     return str(value)
 
 
+def _unserializable(obj):
+    raise TypeError(
+        f"Object of type {obj.__class__.__name__} is not JSON serializable"
+    )
+
+
+#: The C encoder behind ``json.dumps(obj, separators=(",", ":"))``,
+#: built once: ``json.dumps`` builds a new encoder on every call.  No
+#: circular-reference markers: every container it encodes is a fresh
+#: tree built by :func:`sanitize`.
+_c_encode = c_make_encoder(
+    None, _unserializable, encode_basestring_ascii, None, ":", ",",
+    False, False, True,
+)
+
+
+def _dumps(obj) -> str:
+    return "".join(_c_encode(obj, 0))
+
+
+def record_encoder(
+    run: Optional[int] = None, label: str = ""
+) -> Callable[[float, str, Any], str]:
+    """The archival JSONL encoder for records tagged ``run``/``label``.
+
+    Returns ``encode(t, category, data)``: the record's line, newline
+    included, byte-identical to ``json.dumps`` with compact separators
+    over ``{"t": t, "cat": category, "data": sanitize(data), "run": run,
+    "label": label}`` (``data`` left out when None, ``run`` when None,
+    ``label`` when empty).  Every archival line goes through one: the
+    streaming spill, :func:`repro.obs.export.to_jsonl`, the canonical
+    digest and the run journal.  So an in-RAM dump, a spilled trace and
+    a journal are byte-identical by construction.  Build one per tag and
+    keep it: it caches each category's encoded form and each payload
+    key's ``"key":`` prefix (categories are strings, as
+    :meth:`TraceSink.log` requires).  A dict payload's exact-type
+    ``str``, ``int``, ``bool``, finite ``float`` and None values are
+    encoded inline; any other payload goes through :func:`sanitize`.
+    """
+    tail = (
+        ("" if run is None else ',"run":' + _dumps(run))
+        + (',"label":' + _dumps(label) if label else "")
+        + "}\n"
+    )
+    heads: dict[str, str] = {}
+    keys: dict[str, str] = {}
+    escape = encode_basestring_ascii
+
+    def encode(t: float, category: str, data: Any) -> str:
+        head = heads.get(category)
+        if head is None:
+            head = heads[category] = ',"cat":' + _dumps(category)
+        if type(t) is float and t - t == 0.0:
+            ts = repr(t)
+        else:
+            ts = _dumps(t)
+        if data is None:
+            return f'{{"t":{ts}{head}{tail}'
+        if type(data) is dict:
+            parts = []
+            for k, v in data.items():
+                if type(k) is not str:
+                    break  # sanitize() stringifies keys: take its path
+                key = keys.get(k)
+                if key is None:
+                    key = keys[k] = escape(k) + ":"
+                tv = type(v)
+                if tv is str:
+                    parts.append(key + escape(v))
+                elif tv is int or tv is float and v - v == 0.0:
+                    parts.append(key + repr(v))
+                elif tv is bool:
+                    parts.append(key + ("true" if v else "false"))
+                elif v is None:
+                    parts.append(key + "null")
+                else:
+                    parts.append(key + _dumps(sanitize(v)))
+            else:
+                return f'{{"t":{ts}{head},"data":{{{",".join(parts)}}}{tail}'
+        return f'{{"t":{ts}{head},"data":{_dumps(sanitize(data))}{tail}'
+
+    return encode
+
+
 def record_line(
     rec: "TraceRecord", run: Optional[int] = None, label: str = ""
 ) -> str:
     """One record as its archival JSONL line (newline included).
 
-    This is the *single* encoder for trace records on disk: the in-RAM
-    exporter (:func:`repro.obs.export.to_jsonl`) and the streaming spill
-    path both call it, so an in-RAM dump and a spilled streaming trace of
-    the same run are byte-identical by construction.
+    A one-off call; a caller encoding many records keeps one
+    :func:`record_encoder` instead.
     """
-    line: dict = {"t": rec.time, "cat": rec.category}
-    if rec.data is not None:
-        line["data"] = sanitize(rec.data)
-    if run is not None:
-        line["run"] = run
-    if label:
-        line["label"] = label
-    return json.dumps(line, separators=(",", ":")) + "\n"
+    return record_encoder(run, label)(rec.time, rec.category, rec.data)
 
 
 def trailer_line(perf: dict, run: Optional[int] = None) -> str:
@@ -83,7 +159,7 @@ def trailer_line(perf: dict, run: Optional[int] = None) -> str:
     if run is not None:
         trailer["run"] = run
     trailer.update(sanitize(perf))
-    return json.dumps(trailer, separators=(",", ":")) + "\n"
+    return _dumps(trailer) + "\n"
 
 
 class TraceRecord:
@@ -258,11 +334,12 @@ class StreamingTrace(TraceSink):
     in :attr:`dropped` — the subscribers have already folded them.
 
     The spill file uses the archival JSONL format of
-    :func:`repro.obs.export.to_jsonl` (via :func:`record_line`), tagged
-    with this sink's ``run``/``label``, and :meth:`close` appends the
-    deterministic ``{"meta": "perf"}`` trailer — so a fully-spilled
-    trace is byte-identical to an in-RAM dump of the same seed and feeds
-    straight into ``jets report`` / ``jets lint-trace``.
+    :func:`repro.obs.export.to_jsonl` (via :func:`record_encoder`),
+    tagged with this sink's ``run``/``label`` as they stand when the
+    first record spills, and :meth:`close` appends the deterministic
+    ``{"meta": "perf"}`` trailer — so a fully-spilled trace is
+    byte-identical to an in-RAM dump of the same seed and feeds straight
+    into ``jets report`` / ``jets lint-trace``.
 
     The query surface (:meth:`select`, :meth:`times`, :meth:`select_any`,
     :meth:`categories`) answers over the *retained window only*; all-time
@@ -302,6 +379,9 @@ class StreamingTrace(TraceSink):
         self._truncate = truncate
         self._fh = None
         self._segment: list[str] = []
+        #: Built at the first spill: the session labels a sink when it
+        #: attaches it, after construction.
+        self._encode: Optional[Callable[[float, str, Any], str]] = None
         #: category -> all-time count (insertion-ordered, interned keys).
         self._counts: dict[str, int] = {}
         self._first_time: Optional[float] = None
@@ -342,10 +422,13 @@ class StreamingTrace(TraceSink):
                 window.popleft()
             self.dropped += n
             return
+        encode = self._encode
+        if encode is None:
+            encode = self._encode = record_encoder(self.run, self.label)
         segment = self._segment
-        run, label = self.run, self.label
         for _ in range(n):
-            segment.append(record_line(window.popleft(), run, label))
+            rec = window.popleft()
+            segment.append(encode(rec.time, rec.category, rec.data))
         self.spilled += n
         if len(segment) >= self.segment_records:
             self._write_segment()

@@ -1,4 +1,4 @@
-"""Seeded hot/cold performance hazards for the PF001-PF008 rules.
+"""Seeded hot/cold performance hazards for the PF001-PF009 rules.
 
 Loaded as *text* by the lint tests, never imported.  The ``# MARK:``
 comments pin the expected finding lines.  ``Environment.step`` matches
@@ -9,8 +9,10 @@ from any entry, so the same hazards there stay *warnings*.
 """
 
 import heapq
+import json
 from dataclasses import dataclass
 from heapq import heappush as _push
+from json import JSONEncoder
 
 
 @dataclass
@@ -45,6 +47,7 @@ class Environment:
             total = sum([w.load for w in workers])  # MARK: PF001-reducer
             self._drain(total)
             self._key("job")
+            self._encode(total)
 
     def _drain(self, total):
         while self.queue:
@@ -74,6 +77,9 @@ class Environment:
         key = _Key()
         key.job_id = job_id
         return key
+
+    def _encode(self, total):
+        return json.dumps({"total": total}, separators=(",", ":"))  # MARK: PF009-hot
 
     def _guarded_recv(self, sock):
         # try-around-yield in a hot loop is the sanctioned cancellation
@@ -144,3 +150,16 @@ def cold_class_factory(label):
         name = label
 
     return Adapter
+
+
+def cold_dump_lines(records, fh):
+    for rec in records:
+        fh.write(json.dumps(rec, separators=(",", ":")))  # MARK: PF009-cold
+    while records:
+        encoder = JSONEncoder(sort_keys=True)  # MARK: PF009-cold
+        fh.write(encoder.encode(records.pop()))
+
+
+def cold_dump_once(doc, fh):
+    # One dump off the hot path and outside any loop: PF009 stays quiet.
+    json.dump(doc, fh)

@@ -104,6 +104,20 @@ class TestLintTrace:
         out = capsys.readouterr().out
         assert "more issues" in out
 
+    def test_corrupt_line_is_named_by_file_and_line(
+        self, trace_file, tmp_path, capsys
+    ):
+        from repro.core.cli import main
+
+        corrupted = tmp_path / "torn.jsonl"
+        lines = trace_file.read_text().splitlines()
+        lines[4] = lines[4][:15]  # line 5 cut mid-record
+        corrupted.write_text("\n".join(lines) + "\n")
+        assert lint_trace_main([str(corrupted)]) == 2
+        assert f"bad trace file: {corrupted}:5:" in capsys.readouterr().err
+        assert main(["report", str(corrupted)]) == 2
+        assert f"bad trace file: {corrupted}:5:" in capsys.readouterr().err
+
 
 def test_jets_cli_dispatches_lint(tmp_path, capsys):
     from repro.core.cli import main

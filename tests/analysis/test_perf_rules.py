@@ -1,4 +1,4 @@
-"""The PF001-PF008 hot-path perf rules against their seeded fixture.
+"""The PF001-PF009 hot-path perf rules against their seeded fixture.
 
 ``perf_hazards.py`` plants every pattern twice: once reachable from its
 fixture ``Environment.step`` (hot → error, ``[hot path]`` tag) and once
@@ -7,15 +7,22 @@ in module-level helpers no entry reaches (cold → warning).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro.analysis.framework import lint_paths
 from repro.analysis.perf_rules import set_hot_profile
 
 from .test_static_rules import lines_for, lint_fixture, mark_lines
 
 PF_RULES = [
     "PF001", "PF002", "PF003", "PF004", "PF005", "PF006", "PF007", "PF008",
+    "PF009",
 ]
+
+
+SRC = Path(__file__).parents[2] / "src"
 
 
 def severities_at(findings, rule, lines):
@@ -100,6 +107,14 @@ class TestPerfRules:
         # Module-level classes (Record, Environment) stay clean.
         assert lines_for(findings, "PF008") == expected
 
+    def test_pf009_lines(self, linted):
+        source, findings = linted
+        expected = set(
+            mark_lines(source, "PF009-hot") + mark_lines(source, "PF009-cold")
+        )
+        # cold_dump_once's json.dump is neither hot nor in a loop.
+        assert lines_for(findings, "PF009") == expected
+
     # -- severity escalation on the hot path -------------------------------
 
     @pytest.mark.parametrize(
@@ -112,6 +127,7 @@ class TestPerfRules:
             ("PF006", "PF006-hot", "PF006-cold"),
             ("PF007", "PF007-hot", "PF007-cold"),
             ("PF008", "PF008-hot", "PF008-cold"),
+            ("PF009", "PF009-hot", "PF009-cold"),
         ],
     )
     def test_hot_error_cold_warning(self, linted, rule, hot_mark, cold_mark):
@@ -150,3 +166,7 @@ class TestPerfRules:
         assert severities_at(
             findings, "PF003", set(mark_lines(source, "PF003-cold"))
         ) == {"warning"}
+
+
+def test_src_builds_no_json_encoder_per_record():
+    assert lint_paths([str(SRC)], select=["PF009"]).findings == []

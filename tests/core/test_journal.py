@@ -9,9 +9,10 @@ import repro.core.journal as journal_mod
 from repro.apps.synthetic import SleepProgram
 from repro.cluster.machine import generic_cluster
 from repro.core.jets import Simulation
-from repro.core.journal import DEFAULT_BATCH_RECORDS, RunJournal, _plain
+from repro.core.journal import DEFAULT_BATCH_RECORDS, RunJournal
 from repro.core.tasklist import JobSpec, TaskList
-from repro.simkernel.monitor import TraceRecord, record_line
+
+from ..simkernel.test_encoder import reference_line
 
 
 class _Clock:
@@ -125,11 +126,11 @@ class TestAppendAndFlush:
 
 
 class TestFastPathEquivalence:
-    """The typed helpers' template fast path must be byte-identical to
-    :func:`record_line`, the archival trace encoder — journals stay
-    ``jets lint-trace`` inputs only if both paths agree."""
+    """The typed helpers must write exactly the reference archival line
+    of each record — journals stay ``jets lint-trace`` inputs only if
+    they do."""
 
-    def test_job_records_match_record_line(self, tmp_path):
+    def test_job_records_match_reference(self, tmp_path):
         path = tmp_path / "run.journal"
         clock = _Clock(17.25)
         jn = RunJournal(str(path), env=clock, segment=3)
@@ -139,9 +140,7 @@ class TestFastPathEquivalence:
         expected = []
 
         def ref(cat, data):
-            expected.append(
-                record_line(TraceRecord(clock.now, cat, data), run=3)
-            )
+            expected.append(reference_line(clock.now, cat, data, run=3))
 
         for job in tasks:
             jn.job_submitted(job)
@@ -195,15 +194,6 @@ class TestFastPathEquivalence:
         assert recs[0]["data"]["job"] == 'we"ird\\id'
         assert recs[1]["data"]["error"] == tricky
         assert recs[2]["data"]["reason"] == tricky
-
-    def test_plain_gate(self):
-        assert _plain("t0001")
-        assert _plain("mpi-bench 0.5")
-        assert not _plain('a"b')
-        assert not _plain("a\\b")
-        assert not _plain("é")
-        assert not _plain("a\nb")
-        assert not _plain(7)  # non-strings take the slow path
 
 
 class TestTypedHelpers:
