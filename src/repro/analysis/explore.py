@@ -281,6 +281,7 @@ def run_schedule(
         result.problems.append(f"lint-trace: {issue.render()}")
     for problem in sessions.finish():
         result.problems.append(f"protocol: {problem}")
+    env.close()
     return result
 
 

@@ -13,6 +13,9 @@ Rules:
 * **SK003** — an event triggered twice (``succeed``/``fail``) on the
   same name in one straight-line block: the second call raises
   ``SimulationError`` at runtime.
+* **SK004** — a generator's ``finally:`` records, schedules or
+  respawns: ``Environment.close()`` runs it at teardown, outside
+  simulated time.
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ from typing import Iterator, Union
 
 from .framework import Finding, Module, Rule, register
 
-__all__ = ["NonGeneratorProcess", "RunInsideProcess", "DoubleTrigger"]
+__all__ = [
+    "NonGeneratorProcess",
+    "RunInsideProcess",
+    "DoubleTrigger",
+    "SideEffectInFinally",
+]
 
 _FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -201,3 +209,110 @@ class DoubleTrigger(Rule):
                 )
             else:
                 triggered[receiver] = stmt.lineno
+
+
+#: Exception names whose handler means a ``try`` already tells teardown
+#: (``GeneratorExit`` thrown by ``Environment.close()``) from a real exit.
+_TEARDOWN_AWARE = ("GeneratorExit", "BaseException")
+
+
+def _handles_teardown(node: ast.Try) -> bool:
+    for handler in node.handlers:
+        if handler.type is None:  # bare except: catches GeneratorExit too
+            return True
+        types = (
+            handler.type.elts
+            if isinstance(handler.type, ast.Tuple)
+            else [handler.type]
+        )
+        for exc in types:
+            if _dotted(exc).split(".")[-1] in _TEARDOWN_AWARE:
+                return True
+    return False
+
+
+def _teardown_effect(call: ast.Call) -> str:
+    """What a call in a ``finally:`` would do at teardown, or ''."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return "on_exit()" if func.id == "on_exit" else ""
+    if not isinstance(func, ast.Attribute):
+        return ""
+    receiver = _dotted(func.value)
+    if func.attr == "log" and receiver.split(".")[-1].lstrip("_").endswith(
+        "trace"
+    ):
+        return f"{receiver}.log()"
+    if func.attr in ("succeed", "fail"):
+        return f"{receiver or '<event>'}.{func.attr}()"
+    if func.attr in ("process", "timeout") and _env_receiver(receiver):
+        return f"{receiver}.{func.attr}()"
+    if func.attr == "on_exit":
+        return f"{receiver}.on_exit()"
+    return ""
+
+
+@register
+class SideEffectInFinally(Rule):
+    """A generator's ``finally:`` logs, triggers, schedules or respawns.
+
+    ``Environment.close()`` ends a run by closing every generator still
+    parked in it, which runs each pending ``finally:`` at teardown,
+    outside simulated time.  A trace record written there
+    lands after the run is over, an event triggered or scheduled there
+    lands in a calendar that is about to be emptied, and an ``on_exit``
+    hook there respawns a pilot into a dead platform.  Move such
+    bookkeeping after the ``try`` statement (it then runs on every
+    exit the generator reaches by itself), or add an ``except
+    GeneratorExit:`` handler that tells teardown apart.  Only direct
+    calls in the ``finally:`` block are checked.
+    """
+
+    id = "SK004"
+    severity = "error"
+    description = (
+        "generator finally: logs, triggers, schedules or respawns "
+        "(Environment.close() runs it at teardown)"
+    )
+    example_bad = (
+        "def _body(self):\n"
+        "    try:\n"
+        "        yield self.sock.recv()\n"
+        "    finally:\n"
+        "        self.sock.close()\n"
+        "        self.trace.log(\"worker.stop\", {\"worker\": self.id})"
+    )
+    example_good = (
+        "def _body(self):\n"
+        "    try:\n"
+        "        yield self.sock.recv()\n"
+        "    finally:\n"
+        "        self.sock.close()\n"
+        "    self.trace.log(\"worker.stop\", {\"worker\": self.id})"
+    )
+
+    def check(self, module: Module) -> Iterator[Finding]:
+        for func in ast.walk(module.tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not _is_generator(func):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Try) or not node.finalbody:
+                    continue
+                if _owner(func, node) is not func or _handles_teardown(node):
+                    continue
+                for stmt in node.finalbody:
+                    for call in ast.walk(stmt):
+                        if not isinstance(call, ast.Call):
+                            continue
+                        effect = _teardown_effect(call)
+                        if effect and _owner(func, call) is func:
+                            yield self.finding(
+                                module,
+                                call,
+                                f"finally: of generator {func.name!r} "
+                                f"calls {effect}; Environment.close() "
+                                "runs it at teardown — move it after "
+                                "the try or handle GeneratorExit",
+                            )

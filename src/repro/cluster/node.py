@@ -97,6 +97,7 @@ class Node:
             yield req
         if count_busy and self._busy_gauge is not None:
             self._busy_gauge.add(1)
+        closing = False
         try:
             self.processes_started += 1
             fork = self.process_costs.fork_exec
@@ -112,11 +113,17 @@ class Node:
             if self.process_costs.exit_cost:
                 yield self.env.timeout(self.process_costs.exit_cost)
             return result
+        except GeneratorExit:
+            # Environment.close() at teardown: the busy-core gauge and the
+            # core grants stay as the run left them.
+            closing = True
+            raise
         finally:
-            if count_busy and self._busy_gauge is not None:
-                self._busy_gauge.add(-1)
-            if req is not None:
-                self.cores.release(req)
+            if not closing:
+                if count_busy and self._busy_gauge is not None:
+                    self._busy_gauge.add(-1)
+                if req is not None:
+                    self.cores.release(req)
 
     def run_scaled(self, gen: Generator) -> Generator:
         """Delegate to ``gen``, stretching its compute by :attr:`slowdown`.

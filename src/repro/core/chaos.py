@@ -741,6 +741,7 @@ def run_chaos_plan(
         result.problems.append(f"lint-trace: {issue.render()}")
     for problem in sessions.finish():
         result.problems.append(f"protocol: {problem}")
+    env.close()
     return result
 
 

@@ -260,11 +260,12 @@ class JetsDispatcher:
         yield req
         self._ops.incr()
         self._occupancy.set(1)
-        try:
-            yield self.env.timeout(self.config.service_time)
-        finally:
-            self._occupancy.set(0)
-            self._svc.release(req)
+        # No finally: nothing interrupts a dispatcher process, and when
+        # Environment.close() ends one here the occupancy gauge must keep
+        # the level the run left it at.
+        yield self.env.timeout(self.config.service_time)
+        self._occupancy.set(0)
+        self._svc.release(req)
 
     # -- socket handling -----------------------------------------------------------
 

@@ -243,7 +243,11 @@ class Simulation:
                 failed=failed_n,
             )
             journal.close()
-        return self._report(platform, dispatcher, workers, nodes, injector_box)
+        report = self._report(
+            platform, dispatcher, workers, nodes, injector_box
+        )
+        platform.env.close()
+        return report
 
     # -- internals ---------------------------------------------------------------
 

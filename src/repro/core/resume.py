@@ -491,6 +491,7 @@ def resume_run(
     if trace_validator is not None:
         for issue in trace_validator.issues:
             report.problems.append(f"lint-trace: {issue.render()}")
+    env.close()
     return report
 
 
@@ -644,6 +645,7 @@ def _campaign_run(
     drained = dispatcher.drained.triggered
     if engine is not None and engine.crashed.triggered and not drained:
         journal.abandon()  # dispatcher death: the unflushed tail is lost
+        env.close()
         return None, True, env.now
     t_drain = env.now
     if engine is not None:
@@ -663,6 +665,7 @@ def _campaign_run(
     accounting = {
         c.job.job_id: (c.ok, c.job.attempts) for c in dispatcher.completed
     }
+    env.close()
     return accounting, False, t_drain
 
 

@@ -86,8 +86,9 @@ class WorkerAgent:
         self.heartbeat_interval = heartbeat_interval
         self.ready_delay = ready_delay
         self.tasks_run = 0
-        #: Called with the agent when its main loop exits, however it
-        #: exits (shutdown, kill, protocol error) — the pilot keeper
+        #: Called once with the agent when its main loop exits (shutdown,
+        #: kill, protocol error), and dropped uncalled when the environment
+        #: closes — the pilot keeper
         #: (:class:`repro.core.recovery.PilotKeeper`) hooks this to
         #: respawn or quarantine.
         self.on_exit = None
@@ -222,9 +223,14 @@ class WorkerAgent:
             self._alive = False
             if self._sock is not None:
                 self._sock.close()
-            self.platform.trace.log("worker.stop", {"worker": self.worker_id})
-            if self.on_exit is not None:
-                self.on_exit(self)
+            # One-shot, and taken on every exit: the keeper's hook refers
+            # back to this agent.
+            on_exit, self.on_exit = self.on_exit, None
+        # Not in the finally: Environment.close() also ends a pilot parked
+        # at teardown, and that must neither record nor respawn it.
+        self.platform.trace.log("worker.stop", {"worker": self.worker_id})
+        if on_exit is not None:
+            on_exit(self)
 
     def _abandon_children(self, cause: str) -> None:
         for child in self._children:

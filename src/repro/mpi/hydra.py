@@ -184,10 +184,10 @@ class MpiexecController:
         if self.submit_cpu is not None:
             req = self.submit_cpu.request()
             yield req
-            try:
-                yield self.env.timeout(self.config.mpiexec_spawn)
-            finally:
-                self.submit_cpu.release(req)
+            # No finally: only Environment.close() throws into the
+            # dispatcher, and teardown leaves the grant as it is.
+            yield self.env.timeout(self.config.mpiexec_spawn)
+            self.submit_cpu.release(req)
         else:
             yield self.env.timeout(self.config.mpiexec_spawn)
         self._t_launch = self.env.now

@@ -171,6 +171,7 @@ class Socket:
             return
         if item is _CLOSE:
             self._closed = True
+            self._peer = None
             self._inbox.put(_CLOSE)
         else:
             self._inbox.put(item)
@@ -195,11 +196,18 @@ class Socket:
         return result
 
     def close(self) -> None:
-        """Close both directions; peer recv()s fail after in-flight drains."""
+        """Close both directions; peer recv()s fail after in-flight drains.
+
+        Both ends drop ``_peer`` once closed (this end here, the peer when
+        the close notice arrives), so a connection is no reference cycle
+        after it ends.
+        """
         if self._closed:
             return
         self._closed = True
-        if self._peer is not None and not self._peer._closed:
+        peer = self._peer
+        self._peer = None
+        if peer is not None and not peer._closed:
             dropped, extra = self._network._impair(
                 "close", self.local, self.remote, self.service, 0
             )
@@ -214,7 +222,6 @@ class Socket:
             t = self._network.fabric.transfer_time(self.local, self.remote, 0)
             if extra:
                 t += extra
-            peer = self._peer
             arrival = max(env.now + t, peer._last_arrival)
             peer._last_arrival = arrival
             peer._pending.append(_CLOSE)
@@ -232,7 +239,6 @@ class Listener:
         self._network = network
         self.addr = addr
         self._backlog: Store = Store(network.env)
-        self._open = True
 
     def accept(self) -> Event:
         """Event yielding the next accepted :class:`Socket`."""
@@ -240,7 +246,6 @@ class Listener:
 
     def close(self) -> None:
         """Stop accepting; future connects to this address fail."""
-        self._open = False
         self._network._unbind(self.addr)
 
 
@@ -250,7 +255,9 @@ class Network:
     def __init__(self, env: Environment, fabric: Fabric):
         self.env = env
         self.fabric = fabric
-        self._listeners: dict[tuple[int, str], Listener] = {}
+        #: Bound address -> its listener's backlog (not the listener,
+        #: which refers back to this network).
+        self._listeners: dict[tuple[int, str], Store] = {}
         self._conn_seq = 0
         self._taps: list[Callable[[WireEvent], None]] = []
         self._impairments: list[Callable] = []
@@ -313,7 +320,7 @@ class Network:
         if addr in self._listeners:
             raise ValueError(f"address already bound: {addr}")
         listener = Listener(self, addr)
-        self._listeners[addr] = listener
+        self._listeners[addr] = listener._backlog
         return listener
 
     def _unbind(self, addr: tuple[int, str]) -> None:
@@ -338,8 +345,8 @@ class Network:
             # A partitioned or lossy link manifests as a refused/timed-out
             # handshake after the connector has waited it out.
             raise ConnectionClosed(f"connection refused: {addr} (impaired)")
-        listener = self._listeners.get(addr)
-        if listener is None or not listener._open:
+        backlog = self._listeners.get(addr)
+        if backlog is None:
             raise ConnectionClosed(f"connection refused: {addr}")
         self._conn_seq += 1
         conn_id = self._conn_seq
@@ -347,5 +354,5 @@ class Network:
         server = Socket(self, endpoint, src, service, conn_id, "server")
         client._peer = server
         server._peer = client
-        listener._backlog.put(server)
+        backlog.put(server)
         return client

@@ -338,6 +338,7 @@ class Process(Event):
         # keeping it would leave every finished process a reference cycle.
         self._presume = self._resume
         self._gsend = generator.send
+        env._live[self] = None
         Initialize(env, self)
 
     @property
@@ -389,7 +390,7 @@ class Process(Event):
                     next_target = gsend(event._value)
                 else:
                     event._defused = True
-                    next_target = generator.throw(event._value)
+                    next_target = _throw(generator, event._value)
                 if not isinstance(next_target, Event):
                     next_target = generator.throw(
                         SimulationError(
@@ -443,21 +444,55 @@ class Process(Event):
                 break
         except StopIteration as stop:
             self._target = self._presume = self._gsend = None
+            del env._live[self]
             self._ok = True
             self._value = stop.value
-            self.env._schedule(self, NORMAL)
+            env._schedule(self, NORMAL)
         except BaseException as exc:
             self._target = self._presume = self._gsend = None
+            del env._live[self]
             self._ok = False
             self._value = exc
             self._defused = False
-            self.env._schedule(self, NORMAL)
+            env._schedule(self, NORMAL)
         finally:
             env._active_process = None
 
 
+def _all_succeeded(events: list[Event], count: int) -> bool:
+    """:class:`AllOf` predicate: every event has succeeded."""
+    return count == len(events)
+
+
+def _any_succeeded(events: list[Event], count: int) -> bool:
+    """:class:`AnyOf` predicate: at least one event has succeeded."""
+    return count >= 1
+
+
+def _throw(generator: Generator, exc: BaseException) -> Any:
+    """Throw a failed event's exception into ``generator``.
+
+    Once the generator has handled it (yielded again or returned), the
+    traceback goes: its frames hold the failed event, whose value is this
+    exception, so keeping it would leave a reference cycle per fault.  An
+    exception the generator lets through keeps its traceback.
+    """
+    try:
+        target = generator.throw(exc)
+    except StopIteration:
+        exc.__traceback__ = None
+        raise
+    exc.__traceback__ = None
+    return target
+
+
 class Condition(Event):
-    """Waits for a set of events per an evaluation function."""
+    """Waits for a set of events per an evaluation function.
+
+    Once fired, the condition drops its event list: an event it no longer
+    waits for (the untriggered side of an :class:`AnyOf`) still holds the
+    condition's callback, and the list would close that into a cycle.
+    """
 
     __slots__ = ("_events", "_evaluate", "_count")
 
@@ -486,6 +521,7 @@ class Condition(Event):
             event._defused = True
             self._ok = False
             self._value = event._value
+            self._events = None
             self.env._schedule(self, NORMAL)
             return
         self._count += 1
@@ -494,6 +530,7 @@ class Condition(Event):
             self._value = {
                 ev: ev._value for ev in self._events if ev.triggered and ev._ok
             }
+            self._events = None
             self.env._schedule(self, NORMAL)
 
 
@@ -503,7 +540,7 @@ class AllOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, lambda evs, count: count == len(evs))
+        super().__init__(env, events, _all_succeeded)
 
 
 class AnyOf(Condition):
@@ -512,7 +549,7 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, lambda evs, count: count >= 1)
+        super().__init__(env, events, _any_succeeded)
 
 
 class SchedulingOrder:
@@ -631,6 +668,7 @@ class Environment:
         "_bpool",
         "_solo",
         "_active_process",
+        "_live",
         "events_processed",
     )
 
@@ -672,6 +710,9 @@ class Environment:
         #: per-delivery gate of the succeed→resume fast path.
         self._solo = False
         self._active_process: Optional[Process] = None
+        #: Processes whose generator has not returned or raised, oldest
+        #: first (a dict for its insertion order); :meth:`close` ends them.
+        self._live: dict[Process, None] = {}
         #: Events popped and delivered so far (read by ``jets bench``).
         self.events_processed = 0
 
@@ -684,6 +725,43 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_process
+
+    def close(self) -> None:
+        """End the run: drop everything the environment still holds.
+
+        A run's daemon loops (heartbeats, accept loops, schedulers) stay
+        parked when its main process returns, and through them the
+        calendar reaches every node, socket and store of the platform.
+        ``close`` closes each parked generator, oldest first, and marks
+        its process finished; then it clears the callbacks of every
+        event still in the calendar and empties the calendar.  A closed
+        generator runs its ``finally:`` blocks once, outside simulated
+        time, so a ``finally:`` must not record, journal, schedule or
+        respawn (lint rule SK004).  ``now`` and ``events_processed`` do
+        not change, no callback runs, and a second call does nothing.
+        """
+        live = self._live
+        while live:
+            # Not a for loop: a process started by a finally: (which
+            # SK004 forbids) would otherwise stay registered.
+            proc = next(iter(live))
+            del live[proc]
+            generator = proc._generator
+            proc._target = proc._presume = proc._gsend = None
+            proc._value = None
+            proc.callbacks = None
+            generator.close()
+        for event in self._table:
+            if isinstance(event, Event):
+                event.callbacks = None
+        for entry in self._heap:
+            entry[-1].callbacks = None
+        self._table.clear()
+        self._free.clear()
+        self._buckets.clear()
+        self._times.clear()
+        self._heap.clear()
+        self._bnow = self._bcur = None
 
     # -- event factories ---------------------------------------------------
 

@@ -164,6 +164,12 @@ class TestSimkernelRules:
         )
         assert lines_for(findings, "SK003") == expected
 
+    def test_sk004_side_effect_in_generator_finally(self, linted):
+        source, findings = linted
+        # The substring match collects every SK004-* mark as well.
+        assert lines_for(findings, "SK004") == set(mark_lines(source, "SK004"))
+        assert len(mark_lines(source, "SK004")) == 7
+
     def test_rebound_event_not_flagged(self, linted):
         source, findings = linted
         rebind = source.splitlines().index(

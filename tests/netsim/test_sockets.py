@@ -198,6 +198,23 @@ class TestClose:
         env.run(p)
         assert p.value is True
 
+    def test_both_ends_drop_their_peer(self):
+        # The closer at once, the peer when the close notice arrives: an
+        # ended connection holds neither end from the other.
+        env, net = make_net()
+        lis = net.listen(1, "svc")
+        ends = {}
+
+        def client():
+            ends["client"] = sock = yield from net.connect(0, 1, "svc")
+            ends["server"] = yield lis.accept()
+            sock.close()
+            assert sock._peer is None and ends["server"]._peer is sock
+
+        env.process(client())
+        env.run()
+        assert ends["server"].closed and ends["server"]._peer is None
+
 
 class TestImpairment:
     def test_dropped_send_never_arrives_and_remover_restores(self):

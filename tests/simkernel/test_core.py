@@ -10,7 +10,10 @@ from repro.simkernel import (
     Environment,
     Event,
     Interrupt,
+    Resource,
+    SeededOrder,
     SimulationError,
+    Store,
 )
 
 
@@ -349,6 +352,15 @@ class TestConditions:
         env.run()
         assert p.value == ["a", "b"]
 
+    def test_fired_condition_drops_its_events(self, env):
+        # The untriggered side keeps the condition's callback; a kept
+        # event list would close that into a cycle.
+        pending = env.event()
+        cond = env.any_of([pending, env.timeout(1)])
+        env.run()
+        assert cond.triggered and cond._events is None
+        assert list(cond.value.values()) == [None]
+
 
 class TestRun:
     def test_run_until_time(self, env):
@@ -494,3 +506,93 @@ class TestRelay:
         ev._add_callback(lambda e: None)  # looks, does not catch
         with pytest.raises(RuntimeError):
             env.run()
+
+
+class TestClose:
+    """``Environment.close()`` ends a run without running any of it."""
+
+    @pytest.fixture(params=["fifo", "seeded"])
+    def parked(self, request):
+        env = Environment(
+            order=SeededOrder(7) if request.param == "seeded" else None
+        )
+        finals: list[str] = []
+        fired: list[object] = []
+        untriggered = env.event()
+        resource = Resource(env, capacity=1)
+        store = Store(env)
+
+        def parks(name, make):
+            try:
+                yield make()
+            finally:
+                finals.append(name)
+
+        def holder():
+            req = resource.request()
+            yield req
+            try:
+                yield env.timeout(50)
+            finally:
+                finals.append("holder")
+
+        env.process(holder())
+        procs = [
+            env.process(parks("timeout", lambda: env.timeout(10))),
+            env.process(parks("event", lambda: untriggered)),
+            env.process(parks("request", resource.request)),
+            env.process(parks("store", store.get)),
+            env.process(
+                parks(
+                    "any_of",
+                    lambda: env.any_of([untriggered, env.timeout(20)]),
+                )
+            ),
+        ]
+        env.run(until=1)
+        for proc in procs:
+            proc.callbacks.append(fired.append)
+        untriggered.callbacks.append(fired.append)
+        env.timeout(3).callbacks.append(fired.append)
+        # Created after the run stopped: closed before it ever starts.
+        env.process(parks("unstarted", lambda: env.timeout(1)))
+        return env, procs, finals, fired
+
+    def test_close_ends_every_process_and_empties_calendar(self, parked):
+        env, procs, _finals, _fired = parked
+        assert all(p.is_alive for p in procs)
+        env.close()
+        assert not any(p.is_alive for p in procs)
+        assert not env._live
+        assert env.peek() == float("inf")
+        env.run()  # nothing left to deliver
+        assert env.now == 1
+
+    def test_each_finally_runs_once_and_no_callback_runs(self, parked):
+        env, _procs, finals, fired = parked
+        env.close()
+        assert sorted(finals) == sorted(
+            ["holder", "timeout", "event", "request", "store", "any_of"]
+        )
+        assert fired == []
+
+    def test_clock_and_event_count_unchanged(self, parked):
+        env = parked[0]
+        now, processed = env.now, env.events_processed
+        env.close()
+        assert (env.now, env.events_processed) == (now, processed)
+
+    def test_second_close_is_a_no_op(self, parked):
+        env, _procs, finals, fired = parked
+        env.close()
+        ran = list(finals)
+        env.close()
+        assert finals == ran and fired == []
+        assert env.peek() == float("inf")
+
+    def test_closed_processes_free_by_reference_counting(self, parked):
+        env, procs, _finals, _fired = parked
+        env.close()
+        for proc in procs:
+            assert proc._generator.gi_frame is None
+            assert not any(_bound_to(r, proc) for r in gc.get_referents(proc))
