@@ -28,6 +28,7 @@ The static rules live in :mod:`.protocol_rules` (PR001–PR006).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .lifecycle import StateMachine
@@ -149,7 +150,7 @@ class MessageSpec:
     variable: bool = False
     internal: bool = False
 
-    @property
+    @cached_property
     def arity(self) -> int:
         """Full payload tuple length, kind tag included."""
         return len(self.fields) + 1
@@ -229,9 +230,12 @@ ROLE_MODULES: dict[str, tuple[str, ...]] = {
 }
 
 
+_NO_KINDS: dict[str, MessageSpec] = {}
+
+
 def lookup_message(channel: str, kind: str) -> Optional[MessageSpec]:
     """The spec of ``kind`` on ``channel`` (None if undeclared)."""
-    return CHANNELS.get(channel, {}).get(kind)
+    return CHANNELS.get(channel, _NO_KINDS).get(kind)
 
 
 def lookup_kind(kind: str) -> tuple[MessageSpec, ...]:
@@ -411,14 +415,15 @@ class SessionValidator:
     """Incremental protocol conformance: feed each send as it happens.
 
     The streaming form of :func:`validate_sessions`: register
-    :meth:`tap` directly as a ``Network.add_tap`` observer (it adapts
-    and counts every wire event, feeding registry-known channels) or
-    call :meth:`feed` per :class:`WireMessage`.  Per-message checks
-    (declared kind, arity, ready-credit accounting) are appended as the
-    stream flows; per-connection session-machine replay advances one
-    transition at a time, so state is bounded by live connections rather
-    than total traffic.  :meth:`finish` merges everything in the same
-    order the post-hoc scan reports.
+    :meth:`tap` directly as a ``Network.add_tap`` observer (it counts
+    every wire event and checks registry-known channels) or call
+    :meth:`feed` per :class:`WireMessage`; both run one core.
+    Per-message checks (declared kind, arity, ready-credit accounting)
+    are appended as the stream flows; per-connection session-machine
+    replay advances one transition at a time, so state is bounded by
+    live connections rather than total traffic.  :meth:`finish` merges
+    everything in the same order the post-hoc scan reports.  A
+    connection label is formatted only when it is stored or reported.
     """
 
     def __init__(self):
@@ -427,10 +432,11 @@ class SessionValidator:
         #: All tapped wire events (any service), for traffic accounting.
         self.seen = 0
         self._index = 0
+        #: service -> its channel (None: outside the registry).
+        self._channels: dict[str, Optional[str]] = {}
         self._conn_order: list[object] = []
         self._conn_label: dict[object, str] = {}
         self._states: dict[object, Optional[str]] = {}
-        self._machines: dict[object, StateMachine] = {}
         self._session_problems: dict[object, list[str]] = {}
         self._credits: dict[object, Optional[int]] = {}
         self._slots: dict[object, int] = {}
@@ -438,51 +444,63 @@ class SessionValidator:
         self._hydra_first_commit: dict[str, int] = {}
 
     def tap(self, ev) -> None:
-        """``Network.add_tap`` entry point: adapt, count, and feed."""
+        """``Network.add_tap`` entry point: count, and check known
+        channels."""
         self.seen += 1
-        msg = wire_message(ev)
-        if msg is not None:
-            self.feed(msg)
+        service = ev.service
+        channels = self._channels
+        if service in channels:
+            channel = channels[service]
+        else:
+            channel = channels[service] = channel_for_service(service)
+        if channel is None:
+            return
+        payload = ev.payload
+        if not isinstance(payload, tuple):
+            payload = (payload,)
+        self._check(
+            ev.conn_id, channel, payload[0] if payload else "", payload,
+            service,
+        )
 
     def feed(self, msg: WireMessage) -> None:
         """Validate one observed send (in global send order)."""
+        self._check(msg.conn, msg.channel, msg.kind, msg.payload, msg.service)
+
+    def _check(
+        self, conn, channel: str, kind, payload: tuple, service: str
+    ) -> None:
         index = self._index
         self._index = index + 1
-        problems = self.problems
-        label = f"{msg.service or msg.channel}#{msg.conn}"
-        spec = lookup_message(msg.channel, msg.kind)
+        spec = lookup_message(channel, kind)
         if spec is None:
-            problems.append(
-                f"msg {index} [{label}]: kind {msg.kind!r} is not declared "
-                f"on channel {msg.channel!r}"
+            self._problem(
+                index, conn, channel, service,
+                f"kind {kind!r} is not declared on channel {channel!r}",
             )
             return
         if spec.internal:
-            problems.append(
-                f"msg {index} [{label}]: internal mark {msg.kind!r} "
-                "observed on the wire"
+            self._problem(
+                index, conn, channel, service,
+                f"internal mark {kind!r} observed on the wire",
             )
             return
-        if len(msg.payload) != spec.arity:
-            problems.append(
-                f"msg {index} [{label}]: {msg.kind!r} payload has "
-                f"{len(msg.payload)} elements, registry declares "
-                f"{spec.arity} ({('kind', *spec.fields)!r})"
+        arity_ok = len(payload) == spec.arity
+        if not arity_ok:
+            self._problem(
+                index, conn, channel, service,
+                f"{kind!r} payload has {len(payload)} elements, registry "
+                f"declares {spec.arity} ({('kind', *spec.fields)!r})",
             )
-        conn = msg.conn
         if conn not in self._conn_label:
             self._conn_order.append(conn)
-            self._conn_label[conn] = label
+            self._conn_label[conn] = f"{service or channel}#{conn}"
 
         # Session-machine replay, one transition at a time (the exact
         # fold StateMachine.validate performs over a full sequence).
-        machine = SESSION_MACHINES[msg.channel]
-        self._machines[conn] = machine
-        if (
-            msg.kind not in machine.ignored_events
-            and msg.kind in machine.events
-        ):
-            state = machine.events[msg.kind]
+        machine = SESSION_MACHINES[channel]
+        state = machine.events.get(kind)
+        if state is not None and kind not in machine.ignored_events:
             current = self._states.get(conn)
             if not machine.can(current, state):
                 origin = current if current is not None else "<entry>"
@@ -492,37 +510,46 @@ class SessionValidator:
                 )
             self._states[conn] = state
 
-        if msg.channel == CHANNEL_JETS:
+        if channel == CHANNEL_JETS:
             credits = self._credits
             have = credits.get(conn)
-            if msg.kind == REGISTER and len(msg.payload) == spec.arity:
-                self._slots[conn] = int(msg.payload[3])
+            if kind == REGISTER and arity_ok:
+                self._slots[conn] = int(payload[3])
                 credits[conn] = 0
-            elif msg.kind == READY and have is not None:
+            elif kind == READY and have is not None:
                 credits[conn] = min(self._slots[conn], have + 1)
-            elif msg.kind == READY_ALL and have is not None:
+            elif kind == READY_ALL and have is not None:
                 credits[conn] = self._slots[conn]
-            elif msg.kind == RUN_TASK and have is not None:
+            elif kind == RUN_TASK and have is not None:
                 if have < 1:
-                    problems.append(
-                        f"msg {index} [{label}]: run_task dispatched with "
-                        "no ready credit outstanding"
+                    self._problem(
+                        index, conn, channel, service,
+                        "run_task dispatched with no ready credit "
+                        "outstanding",
                     )
                 else:
                     credits[conn] = have - 1
-            elif msg.kind == RUN_PROXY and have is not None:
+            elif kind == RUN_PROXY and have is not None:
                 if have < self._slots[conn]:
-                    problems.append(
-                        f"msg {index} [{label}]: run_proxy dispatched to a "
-                        f"worker with {have}/{self._slots[conn]} slots free "
-                        "(MPI jobs claim whole workers)"
+                    self._problem(
+                        index, conn, channel, service,
+                        f"run_proxy dispatched to a worker with "
+                        f"{have}/{self._slots[conn]} slots free "
+                        "(MPI jobs claim whole workers)",
                     )
                 credits[conn] = 0
-        elif msg.channel == CHANNEL_HYDRA:
-            if msg.kind == REGISTER:
-                self._hydra_last_register[msg.service] = index
-            elif msg.kind == COMMIT:
-                self._hydra_first_commit.setdefault(msg.service, index)
+        elif channel == CHANNEL_HYDRA:
+            if kind == REGISTER:
+                self._hydra_last_register[service] = index
+            elif kind == COMMIT:
+                self._hydra_first_commit.setdefault(service, index)
+
+    def _problem(
+        self, index: int, conn, channel: str, service: str, text: str
+    ) -> None:
+        self.problems.append(
+            f"msg {index} [{service or channel}#{conn}]: {text}"
+        )
 
     def finish(self) -> list[str]:
         """All violations so far, in the post-hoc scan's report order.

@@ -20,6 +20,7 @@ a dynamic category escapes both the registry and the static checker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Optional
 
 from .lifecycle import JOB_MACHINE, PROXY_MACHINE, WORKER_MACHINE
@@ -86,12 +87,20 @@ class CategorySpec:
     optional: frozenset[str] = field(default_factory=frozenset)
     description: str = ""
 
-    @property
+    @cached_property
     def keys(self) -> frozenset[str]:
+        """Every declared key (required or optional), built once."""
         return self.required | self.optional
 
     def payload_problems(self, data: Any) -> list[str]:
         """Human-readable schema violations of one payload dict."""
+        # Pass path: an exact dict carrying every required key and only
+        # declared ones.  Anything else (None, dict subclasses, non-str
+        # or unknown keys) falls through to the message builder below.
+        if type(data) is dict:
+            keys = data.keys()
+            if keys >= self.required and keys <= self.keys:
+                return []
         if not self.required and data is None:
             return []
         if not isinstance(data, dict):

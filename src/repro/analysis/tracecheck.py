@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from ..simkernel import Trace, TraceRecord
+from ..simkernel import TraceRecord, TraceSink
 from .lifecycle import MACHINES, StateMachine
 from .schema import lookup
 
@@ -61,15 +61,9 @@ class _Replay:
         self.machine = machine
         self.states: dict[object, str] = {}
 
-    def apply(self, entity: object, event: str) -> Optional[str]:
-        """Advance ``entity`` by ``event``; returns a violation message."""
+    def apply(self, entity: object, state: str) -> Optional[str]:
+        """Advance ``entity`` into ``state``; returns a violation message."""
         machine = self.machine
-        if event in machine.ignored_events:
-            return None
-        state = machine.state_for_event(event)
-        if state is None:
-            # Unknown event suffix — reported as TV001 via the registry.
-            return None
         current = self.states.get(entity)
         if machine.can(current, state):
             self.states[entity] = state
@@ -114,6 +108,11 @@ class TraceValidator:
     — bounded by entity count, never by record count — so a windowed
     streaming sink gets the exact verdicts a post-hoc full scan would
     produce.
+
+    Everything that depends only on the category (its spec, its
+    lifecycle machine, event and target state) is routed once, the
+    first time the category is seen; issue text is built only for a
+    record that fails a check.
     """
 
     def __init__(self, check_schema: bool = True, check_lifecycle: bool = True):
@@ -121,6 +120,9 @@ class TraceValidator:
         self.check_lifecycle = check_lifecycle
         self.issues: list[TraceIssue] = []
         self._replays = {prefix: _Replay(m) for prefix, m in MACHINES.items()}
+        #: category -> (spec, replay, event, state); replay is None for a
+        #: category that moves no lifecycle.
+        self._routes: dict[str, tuple] = {}
         #: Workers declared lost and not registered since.
         self._zombies: set[object] = set()
         self._last_time: Optional[float] = None
@@ -131,59 +133,79 @@ class TraceValidator:
         """How many records have been fed so far."""
         return self._index
 
+    def _route(self, cat: str) -> tuple:
+        """The category's spec and lifecycle replay (computed once)."""
+        spec = lookup(cat)
+        if "." in cat:
+            prefix, event = cat.split(".", 1)
+            replay = self._replays.get(prefix)
+            if replay is not None:
+                machine = replay.machine
+                state = machine.state_for_event(event)
+                # Ignored events move no state; an unknown event is
+                # reported as TV001 by the schema check.
+                if event not in machine.ignored_events and state is not None:
+                    return spec, replay, event, state
+        return spec, None, None, None
+
     def feed(self, rec: TraceRecord) -> None:
         """Validate one record (subscriber entry point)."""
         index = self._index
         self._index = index + 1
-        cat, data = rec.category, rec.data
-        issues = self.issues
-
-        def issue(code: str, message: str) -> None:
-            issues.append(TraceIssue(index, rec.time, cat, code, message))
-
-        if self._last_time is not None and rec.time < self._last_time:
-            issue(
-                "TV003",
-                f"timestamp {rec.time} precedes previous record "
-                f"({self._last_time}); trace is not in event order",
+        time = rec.time
+        last = self._last_time
+        if last is not None and time < last:
+            self._issue(
+                index, rec, "TV003",
+                f"timestamp {time} precedes previous record "
+                f"({last}); trace is not in event order",
             )
-        self._last_time = rec.time
+        self._last_time = time
+
+        cat = rec.category
+        route = self._routes.get(cat)
+        if route is None:
+            route = self._routes[cat] = self._route(cat)
+        spec, replay, event, state = route
+        data = rec.data
 
         if self.check_schema:
-            spec = lookup(cat)
             if spec is None:
-                issue("TV001", f"unknown trace category {cat!r}")
+                self._issue(
+                    index, rec, "TV001", f"unknown trace category {cat!r}"
+                )
             else:
                 for problem in spec.payload_problems(data):
-                    issue("TV002", problem)
+                    self._issue(index, rec, "TV002", problem)
 
-        if self.check_lifecycle and "." in cat:
-            prefix, event = cat.split(".", 1)
-            replay = self._replays.get(prefix)
-            if replay is None:
-                return
-            machine = replay.machine
-            if event in machine.ignored_events:
-                return
-            if machine.state_for_event(event) is None:
-                return  # unknown event — TV001 covers it
-            entity = _entity_id(machine, data)
-            if entity is None:
-                issue(
-                    "TV005",
-                    f"lifecycle record lacks its {machine.id_key!r} id key",
-                )
-                return
-            if prefix == "worker":
-                if event == "lost":
-                    self._zombies.add(entity)
-                elif event == "registered":
-                    self._zombies.discard(entity)
-            elif prefix == "job" and data.get("worker") in self._zombies:
-                return
-            problem = replay.apply(entity, event)
-            if problem is not None:
-                issue("TV004", problem)
+        if replay is None or not self.check_lifecycle:
+            return
+        machine = replay.machine
+        entity = _entity_id(machine, data)
+        if entity is None:
+            self._issue(
+                index, rec, "TV005",
+                f"lifecycle record lacks its {machine.id_key!r} id key",
+            )
+            return
+        prefix = machine.entity
+        if prefix == "worker":
+            if event == "lost":
+                self._zombies.add(entity)
+            elif event == "registered":
+                self._zombies.discard(entity)
+        elif prefix == "job" and data.get("worker") in self._zombies:
+            return
+        problem = replay.apply(entity, state)
+        if problem is not None:
+            self._issue(index, rec, "TV004", problem)
+
+    def _issue(
+        self, index: int, rec: TraceRecord, code: str, message: str
+    ) -> None:
+        self.issues.append(
+            TraceIssue(index, rec.time, rec.category, code, message)
+        )
 
 
 def validate_records(
@@ -202,9 +224,23 @@ def validate_records(
 
 
 def validate_trace(
-    trace: Union[Trace, Iterable[TraceRecord]],
+    trace: Union[TraceSink, Iterable[TraceRecord]],
     **kwargs,
 ) -> list[TraceIssue]:
-    """Validate a live trace (or any record iterable)."""
-    records = trace.records if isinstance(trace, Trace) else trace
+    """Validate a trace sink that kept every record (or any iterable).
+
+    A sink is anything with ``records`` (what it retains) and ``len``
+    (every record it was ever given).  A windowed sink that evicted
+    records cannot be validated after the fact: a lifecycle replay of
+    the retained tail would report false TV004s, so it raises
+    :class:`ValueError`; subscribe :meth:`TraceValidator.feed` to such a
+    sink before the run instead.
+    """
+    records = getattr(trace, "records", trace)
+    if records is not trace and len(records) < len(trace):
+        raise ValueError(
+            f"trace sink retained {len(records)} of {len(trace)} records; "
+            "subscribe TraceValidator.feed to it before the run to "
+            "validate every record"
+        )
     return validate_records(records, **kwargs)

@@ -24,8 +24,7 @@ Semantics:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, NamedTuple, Optional
 
 from ..simkernel import Environment, Event, Store, Timeout
 from .fabric import Fabric
@@ -40,13 +39,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WireEvent:
+class WireEvent(NamedTuple):
     """One observed :meth:`Socket.send`, reported to network taps.
 
     Taps (``Network.add_tap``) see every send in global send order; the
     protocol conformance validator replays these against the registry's
-    session machines after each explored schedule.
+    session machines after each explored schedule.  A named tuple: one
+    is built per send while a tap is attached.
     """
 
     time: float
@@ -304,12 +303,8 @@ class Network:
         if not self._taps:
             return
         event = WireEvent(
-            time=self.env.now,
-            service=sock.service,
-            conn_id=sock.conn_id,
-            sender=sock.role,
-            payload=payload,
-            nbytes=int(nbytes),
+            self.env.now, sock.service, sock.conn_id, sock.role, payload,
+            int(nbytes),
         )
         for tap in self._taps:
             tap(event)

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.tracecheck import validate_records
+from repro.analysis.tracecheck import validate_records, validate_trace
 from repro.apps.synthetic import BarrierSleepBarrier, SleepProgram
 from repro.cluster.machine import generic_cluster
 from repro.core.jets import Simulation
 from repro.core.tasklist import JobSpec, TaskList
-from repro.simkernel.monitor import TraceRecord
+from repro.simkernel.monitor import StreamingTrace, TraceRecord
 
 
 def rec(t, cat, data=None):
@@ -215,3 +215,26 @@ class TestRealRuns:
         records = list(report.platform.trace.records)
         assert any(r.category == "fault.kill" for r in records)
         assert validate_records(records) == []
+
+
+class TestValidateTraceSinks:
+    @staticmethod
+    def log_submits(sink, n):
+        for job in range(n):
+            sink.log("job.submitted", {"job": job, "mpi": False,
+                                       "nodes": 1, "ppn": 1})
+        sink.log("job.bogus", {"job": 0})
+
+    def test_sink_that_evicted_records_is_refused(self, env):
+        """A replay of the retained tail would report false TV004s."""
+        sink = StreamingTrace(env, window=4)
+        self.log_submits(sink, 9)
+        with pytest.raises(ValueError, match="TraceValidator.feed"):
+            validate_trace(sink)
+
+    def test_streaming_sink_that_kept_every_record(self, env):
+        sink = StreamingTrace(env, window=16)
+        self.log_submits(sink, 9)
+        issues = validate_trace(sink)
+        assert codes(issues) == ["TV001"]
+        assert issues == validate_records(sink.records)
