@@ -2,8 +2,8 @@
 
 The static HB/RS rules (:mod:`.race_rules`) reason about source text;
 this module watches an actual run.  :class:`HappensBeforeChecker` is a
-streaming :class:`~repro.simkernel.monitor.TraceSink` subscriber that
-rebuilds the run's causal order from three edge sources:
+:class:`~repro.simkernel.monitor.Trace` subscriber that rebuilds the
+run's causal order from three edge sources:
 
 * **schedule chains** — the kernel's event-provenance hook
   (:meth:`repro.simkernel.core.Environment.set_provenance`) reports, for

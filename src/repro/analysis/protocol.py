@@ -514,8 +514,17 @@ class SessionValidator:
             credits = self._credits
             have = credits.get(conn)
             if kind == REGISTER and arity_ok:
-                self._slots[conn] = int(payload[3])
-                credits[conn] = 0
+                slots = payload[3]
+                if isinstance(slots, int):
+                    self._slots[conn] = int(slots)
+                    credits[conn] = 0
+                else:
+                    # No credit ledger for a worker whose slots are not
+                    # a count: its later sends are not credit-checked.
+                    self._problem(
+                        index, conn, channel, service,
+                        f"register announces {slots!r} slots, not an int",
+                    )
             elif kind == READY and have is not None:
                 credits[conn] = min(self._slots[conn], have + 1)
             elif kind == READY_ALL and have is not None:

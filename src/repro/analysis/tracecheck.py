@@ -17,15 +17,16 @@ Validation codes:
   comes from a zombie (a partitioned pilot still running a stale
   attempt), not from the job's lifecycle, and is not replayed until the
   worker registers again.
-* **TV005** — lifecycle record without its entity id.
+* **TV005** — lifecycle record without a usable entity id (missing, or
+  a value such as a list that cannot key the replay).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
-from ..simkernel import TraceRecord, TraceSink
+from ..simkernel import TraceRecord
 from .lifecycle import MACHINES, StateMachine
 from .schema import lookup
 
@@ -102,12 +103,11 @@ class TraceValidator:
     """Incremental trace validation: feed records as they stream.
 
     The subscriber form of :func:`validate_records`: attach :meth:`feed`
-    to a live :class:`~repro.simkernel.TraceSink` (in-RAM or streaming)
-    or call it per record while replaying a JSONL dump.  Validation
-    state is the per-entity lifecycle replay plus the previous timestamp
-    — bounded by entity count, never by record count — so a windowed
-    streaming sink gets the exact verdicts a post-hoc full scan would
-    produce.
+    to a live :class:`~repro.simkernel.Trace` (bounded or not) or call
+    it per record while replaying a JSONL dump.  Validation state is the
+    per-entity lifecycle replay plus the previous timestamp — bounded by
+    entity count, never by record count — so a trace with a retention
+    window gets the exact verdicts a post-hoc full scan would produce.
 
     Everything that depends only on the category (its spec, its
     lifecycle machine, event and target state) is routed once, the
@@ -189,14 +189,24 @@ class TraceValidator:
             )
             return
         prefix = machine.entity
-        if prefix == "worker":
-            if event == "lost":
-                self._zombies.add(entity)
-            elif event == "registered":
-                self._zombies.discard(entity)
-        elif prefix == "job" and data.get("worker") in self._zombies:
+        try:
+            if prefix == "worker":
+                if event == "lost":
+                    self._zombies.add(entity)
+                elif event == "registered":
+                    self._zombies.discard(entity)
+            elif prefix == "job" and data.get("worker") in self._zombies:
+                return
+            problem = replay.apply(entity, state)
+        except TypeError:
+            # An id read from a file may be any JSON value; one that
+            # cannot key the replay (a list, an object) is reported.
+            self._issue(
+                index, rec, "TV005",
+                f"lifecycle record has an id that cannot key a replay: "
+                f"{data!r}",
+            )
             return
-        problem = replay.apply(entity, state)
         if problem is not None:
             self._issue(index, rec, "TV004", problem)
 
@@ -224,23 +234,14 @@ def validate_records(
 
 
 def validate_trace(
-    trace: Union[TraceSink, Iterable[TraceRecord]],
+    trace: Iterable[TraceRecord],
     **kwargs,
 ) -> list[TraceIssue]:
-    """Validate a trace sink that kept every record (or any iterable).
+    """Validate a trace that kept every record (or any record iterable).
 
-    A sink is anything with ``records`` (what it retains) and ``len``
-    (every record it was ever given).  A windowed sink that evicted
-    records cannot be validated after the fact: a lifecycle replay of
-    the retained tail would report false TV004s, so it raises
-    :class:`ValueError`; subscribe :meth:`TraceValidator.feed` to such a
-    sink before the run instead.
+    A :class:`~repro.simkernel.Trace` whose window evicted records
+    refuses iteration with :class:`ValueError`, because a lifecycle
+    replay of the retained tail would report false TV004s; subscribe
+    :meth:`TraceValidator.feed` to such a trace before the run instead.
     """
-    records = getattr(trace, "records", trace)
-    if records is not trace and len(records) < len(trace):
-        raise ValueError(
-            f"trace sink retained {len(records)} of {len(trace)} records; "
-            "subscribe TraceValidator.feed to it before the run to "
-            "validate every record"
-        )
-    return validate_records(records, **kwargs)
+    return validate_records(trace, **kwargs)

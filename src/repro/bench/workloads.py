@@ -298,8 +298,7 @@ def _collect(runs) -> dict:
     """Sum kernel/trace volume across an obs session's captured runs."""
     events = sum(t.env.events_processed for _label, t, _reg in runs)
     sim_s = sum(t.env.now for _label, t, _reg in runs)
-    # len(sink) is the all-time record count for both the in-RAM Trace
-    # and the windowed StreamingTrace (which retains only a suffix).
+    # len(trace) counts every record logged, evicted ones included.
     records = sum(len(t) for _label, t, _reg in runs)
     return {"events": events, "sim_s": round(sim_s, 6), "records": records}
 
@@ -431,15 +430,15 @@ _JOBS_1M_FULL = 40_000
 
 
 def _jobs_1m(quick: bool) -> dict:
-    """Million-kernel-event job stream under the streaming trace sink.
+    """Million-kernel-event job stream under a bounded trace.
 
     The memory-budget gate for the streaming observability pipeline: a
     long serial-job stream is wave-fed to the dispatcher (each wave
     submitted once the previous drained, the steady-state many-task
-    pattern) while the platform trace is a windowed
-    :class:`~repro.simkernel.StreamingTrace`.  Trace memory stays flat
-    no matter how many records flow; an in-RAM run of the same stream
-    grows linearly with record count.  Set ``JETS_BENCH_SPILL`` to a
+    pattern) while the platform :class:`~repro.simkernel.Trace` holds a
+    window of the newest records.  Trace memory stays flat no matter
+    how many records flow; an unbounded run of the same stream grows
+    linearly with record count.  Set ``JETS_BENCH_SPILL`` to a
     path to spill the full record stream there (the CI artifact);
     without it evicted records are dropped after subscribers fold them.
     """
@@ -530,7 +529,7 @@ SUITES: dict[str, list[Workload]] = {
         Workload("chaos_mix", _chaos_mix, "chaos plans with recovery"),
         Workload("explore_slice", _explore_slice, "schedule-explorer slice"),
         Workload(
-            "jobs_1m", _jobs_1m, "million-event stream, streaming sink"
+            "jobs_1m", _jobs_1m, "million-event stream, bounded trace"
         ),
     ],
 }

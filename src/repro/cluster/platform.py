@@ -42,12 +42,12 @@ class Platform:
         self.spec = spec
         self.env = env if env is not None else Environment()
         self.rng = RngRegistry(seed)
-        # The ambient session may supply a streaming (windowed/spilling)
-        # sink; absent one — or outside any session — the default stays
-        # the fully-indexed in-RAM Trace.
+        # The ambient session builds the trace (bounded or not, with its
+        # spill); outside any session it keeps every record in RAM.
         obs = _active_obs_session()
-        sink = obs.make_trace(self.env) if obs is not None else None
-        self.trace = sink if sink is not None else Trace(self.env)
+        self.trace = (
+            obs.make_trace(self.env) if obs is not None else Trace(self.env)
+        )
         self.busy_cores = Gauge(self.env, 0)
         self.metrics = Registry(self.env, self.trace)
         if obs is not None:

@@ -149,13 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--stream-trace", action="store_true",
-        help="use the bounded-memory streaming trace sink: records are "
-             "spilled to --trace-out as the run executes (flat RSS at "
-             "any event count) instead of being held in RAM",
+        help="bound the trace to --trace-window records: older records "
+             "are spilled to --trace-out as the run executes (flat RSS "
+             "at any event count) instead of being held in RAM",
     )
     parser.add_argument(
         "--trace-window", type=int, default=65536, metavar="N",
-        help="streaming sink retention window in records (default: 65536)",
+        help="--stream-trace retention window in records (default: 65536)",
     )
     parser.add_argument(
         "--journal", default=None, metavar="RUN.journal",

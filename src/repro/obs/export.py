@@ -19,7 +19,7 @@ import hashlib
 import json
 from typing import IO, Iterable, Iterator, Optional, Union
 
-from ..simkernel import Trace, TraceRecord
+from ..simkernel import TraceRecord
 from ..simkernel.monitor import record_encoder, sanitize, trailer_line
 from .spans import RunSpans, build_spans
 
@@ -51,8 +51,8 @@ class CanonicalDigest:
     and digest differently exactly when a reordering changed an outcome
     (a value, a state transition, a record present in one run only).
 
-    Subscribe :meth:`feed` to any :class:`~repro.simkernel.monitor.
-    TraceSink`; memory is bounded by the largest same-timestamp batch.
+    Subscribe :meth:`feed` to a :class:`~repro.simkernel.Trace`; memory
+    is bounded by the largest same-timestamp batch.
     Call :meth:`hexdigest` once, after the run.
     """
 
@@ -92,14 +92,15 @@ _RUN_STRIDE = 10
 
 
 def to_jsonl(
-    source: Union[Trace, Iterable[TraceRecord]],
+    source: Iterable[TraceRecord],
     out: Union[str, IO[str]],
     run: Optional[int] = None,
     label: str = "",
     append: bool = False,
     perf: Optional[dict] = None,
 ) -> int:
-    """Write trace records as JSON lines; returns the record count.
+    """Write trace records (a trace that kept every record, or any
+    record iterable) as JSON lines; returns the record count.
 
     ``run``/``label`` tag every line so multi-run sessions (one line of
     an experiment sweep per run) stay separable on reload.  ``perf``
@@ -108,7 +109,6 @@ def to_jsonl(
     byte-identical) is appended as one ``{"meta": "perf", ...}`` trailer
     line that record readers skip and :func:`jsonl_perf` collects.
     """
-    records = source.records if isinstance(source, Trace) else source
     close = False
     if isinstance(out, str):
         fh = open(out, "a" if append else "w")
@@ -118,7 +118,7 @@ def to_jsonl(
     encode = record_encoder(run, label)
     n = 0
     try:
-        for rec in records:
+        for rec in source:
             fh.write(encode(rec.time, rec.category, rec.data))
             n += 1
         if perf is not None:
@@ -151,7 +151,8 @@ def iter_jsonl(
     the whole dump, so spilled million-record traces replay in flat
     memory.  ``run`` filters to one tagged run; ``on_perf(run,
     perf_dict)`` is called for every ``{"meta": "perf"}`` trailer
-    encountered.  A line that is not JSON raises :class:`ValueError`
+    encountered.  A line that is not JSON, or not an object with a
+    numeric ``t`` and a string ``cat``, raises :class:`ValueError`
     naming the file and the line.
     """
     fh = open(source) if isinstance(source, str) else source
@@ -167,6 +168,10 @@ def iter_jsonl(
                 raise ValueError(
                     f"{name}:{lineno}:{exc.colno}: {exc.msg}"
                 ) from None
+            if type(obj) is not dict:
+                raise ValueError(
+                    f"{name}:{lineno}: not a JSON object: {raw[:60]}"
+                )
             if "meta" in obj:
                 if obj.get("meta") == "perf" and on_perf is not None:
                     on_perf(
@@ -177,13 +182,17 @@ def iter_jsonl(
                         },
                     )
                 continue
+            t, cat = obj.get("t"), obj.get("cat")
+            if type(t) not in (int, float) or type(cat) is not str:
+                raise ValueError(
+                    f"{name}:{lineno}: a record needs a numeric \"t\" "
+                    f"and a string \"cat\": {raw[:60]}"
+                )
             tag = obj.get("run", 0)
             if run is not None and tag != run:
                 continue
             yield tag, TraceRecord(
-                time=float(obj["t"]),
-                category=obj["cat"],
-                data=obj.get("data"),
+                time=float(t), category=cat, data=obj.get("data")
             )
     finally:
         if fh is not source:
@@ -328,26 +337,17 @@ def counter_series(
 
     Merges two origins: the metrics registry's time-weighted gauges
     (occupancy, queue depths — the full breakpoint series each
-    :class:`~repro.simkernel.Gauge` already keeps) and any ``counter.*``
-    mirror records present in ``source`` (a trace sink or record
-    iterable; a :class:`RunSpans` or None contributes nothing).
+    :class:`~repro.simkernel.Gauge` already keeps) and the ``counter.*``
+    mirror records of ``source`` (a record iterable, or the
+    :class:`RunSpans` folded from one; None contributes nothing).
     """
     series: dict[str, list[tuple[float, float]]] = {}
     if registry is not None:
         series.update(registry.gauge_series())
-    if source is not None and not isinstance(source, RunSpans):
-        if hasattr(source, "select"):
-            recs = source.select("counter.", prefix=True)
-        else:
-            recs = [
-                r for r in source if r.category.startswith("counter.")
-            ]
-        for rec in recs:
-            data = rec.data if isinstance(rec.data, dict) else {}
-            name = data.get("counter") or rec.category[len("counter."):]
-            series.setdefault(name, []).append(
-                (rec.time, float(data.get("value", 0.0)))
-            )
+    if source is not None:
+        spans = source if isinstance(source, RunSpans) else build_spans(source)
+        for name, points in spans.counters.items():
+            series.setdefault(name, []).extend(points)
     return series
 
 
@@ -394,14 +394,13 @@ def to_chrome_trace(
 ) -> int:
     """Write a Chrome ``trace_event`` file; returns the event count.
 
-    ``sources`` is a Trace / record iterable / RunSpans, or a list of
-    ``(label, source)`` or ``(label, source, registry)`` tuples for
-    multi-run sessions; a registry contributes its gauges as Perfetto
-    counter tracks (:func:`counter_events`).
+    ``sources`` is one source (a record iterable or :class:`RunSpans`),
+    or a list of ``(label, source)`` or ``(label, source, registry)``
+    tuples for multi-run sessions; a registry contributes its gauges as
+    Perfetto counter tracks (:func:`counter_events`).
     """
-    if isinstance(sources, (Trace, RunSpans)) or (
-        sources and isinstance(sources, list)
-        and isinstance(sources[0], TraceRecord)
+    if not isinstance(sources, list) or (
+        sources and not isinstance(sources[0], tuple)
     ):
         sources = [("", sources)]
     events: list[dict] = []
@@ -415,7 +414,7 @@ def to_chrome_trace(
         events.extend(chrome_events(spans, run=run, label=label))
         events.extend(
             counter_events(
-                counter_series(src, registry), run=run, label=label
+                counter_series(spans, registry), run=run, label=label
             )
         )
     doc = {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence, Union
 
-from ..simkernel import Counter, Environment, Gauge, TraceSink
+from ..simkernel import Counter, Environment, Gauge, Trace
 
 __all__ = ["Histogram", "Registry", "quantile"]
 
@@ -86,7 +86,7 @@ class Registry:
     counter without coordinating construction.
     """
 
-    def __init__(self, env: Environment, trace: Optional[TraceSink] = None):
+    def __init__(self, env: Environment, trace: Optional[Trace] = None):
         self.env = env
         self.trace = trace
         self._counters: dict[str, Counter] = {}

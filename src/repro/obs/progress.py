@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Optional, Sequence
 
-from ..simkernel import TraceRecord, TraceSink
+from ..simkernel import Trace, TraceRecord
 from .metrics import Registry
 
 __all__ = [
@@ -60,7 +60,7 @@ class ProgressTracker:
 
     def __init__(
         self,
-        sink: TraceSink,
+        sink: Trace,
         every: float = 1.0,
         registry: Optional[Registry] = None,
     ):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from ..simkernel import Trace, TraceRecord
+from ..simkernel import TraceRecord
 from .metrics import Histogram, Registry
 from .spans import RunSpans, build_spans
 
@@ -209,23 +209,20 @@ class RunReport:
     @classmethod
     def from_trace(
         cls,
-        source: Union[Trace, Iterable[TraceRecord]],
+        source: Iterable[TraceRecord],
         registry: Optional[Registry] = None,
         allocation_nodes: Optional[int] = None,
         perf: Optional[dict] = None,
     ) -> "RunReport":
         """Build the report straight from trace records.
 
-        A live :class:`Trace` fills the performance fields from its
-        environment automatically; reloaded record lists rely on the
-        caller passing ``perf`` (e.g. from a JSONL perf trailer).
+        A live :class:`~repro.simkernel.Trace` fills the performance
+        fields from its own :meth:`~repro.simkernel.Trace.perf`;
+        reloaded record lists rely on the caller passing ``perf`` (e.g.
+        from a JSONL perf trailer).
         """
-        if perf is None and isinstance(source, Trace):
-            perf = {
-                "events": source.env.events_processed,
-                "records": len(source.records),
-                "sim_s": source.env.now,
-            }
+        if perf is None and hasattr(source, "perf"):
+            perf = source.perf()
         return cls.from_spans(
             build_spans(source), registry, allocation_nodes, perf=perf
         )
@@ -351,7 +348,7 @@ class RunReport:
 
 
 def render_report(
-    source: Union[Trace, Iterable[TraceRecord], RunSpans],
+    source: Union[Iterable[TraceRecord], RunSpans],
     registry: Optional[Registry] = None,
     title: str = "",
     allocation_nodes: Optional[int] = None,

@@ -18,7 +18,7 @@ import sys
 import time
 from typing import IO, TYPE_CHECKING, Optional
 
-from ..simkernel import StreamingTrace, Trace, TraceSink
+from ..simkernel import Trace
 from .metrics import Registry
 
 if TYPE_CHECKING:
@@ -57,7 +57,12 @@ def session(
 
 
 class ObsSession:
-    """Collects (label, trace, registry) per run and exports on exit."""
+    """Collects (label, trace, registry) per run and exports on exit.
+
+    Every run takes one path: its trace spills to ``trace_out`` when the
+    run is over (or as it runs, when bounded), and the Chrome trace and
+    reports are rendered from span folds subscribed to each trace.
+    """
 
     def __init__(
         self,
@@ -78,35 +83,32 @@ class ObsSession:
         self.report = report
         self.report_stream = report_stream
         #: Streaming mode: platforms built under this session get a
-        #: windowed :class:`~repro.simkernel.StreamingTrace` that spills
-        #: to ``trace_out`` as the run executes, and every downstream
-        #: consumer (spans for Chrome/report, progress heartbeats) folds
-        #: the stream incrementally — RSS stays flat at any event count.
+        #: trace that holds at most ``window`` records, spilling older
+        #: ones to ``trace_out`` as the run executes — RSS stays flat at
+        #: any event count.  The outputs are the same either way.
         self.stream = stream
         self.window = window
         self.progress_every = progress_every
-        self.runs: list[tuple[str, TraceSink, Optional[Registry]]] = []
-        #: Streaming mode only: one span fold per attached run (same
-        #: index as :attr:`runs`), built as records flow.
-        self._span_builders: list[SpanBuilder] = []
+        self.runs: list[tuple[str, Trace, Optional[Registry]]] = []
+        #: One span fold per attached run (same index as :attr:`runs`),
+        #: or None when no Chrome trace or report will read it.
+        self._span_builders: list[Optional[SpanBuilder]] = []
         self._trackers: list[ProgressTracker] = []
         #: Wall-clock stamp per attached run (for live report rendering
         #: only — never exported, so trace dumps stay deterministic).
         self._attach_walls: list[float] = []
 
-    def make_trace(self, env) -> Optional[TraceSink]:
+    def make_trace(self, env) -> Trace:
         """Trace factory for platforms built under this session.
 
-        Returns a streaming sink in streaming mode (run-tagged; the
-        first run truncates the spill file, later runs append after the
-        previous sink is closed at attach time), or None to let the
-        platform build the default in-RAM :class:`Trace`.
+        The trace is bounded by ``window`` in streaming mode, spills to
+        ``trace_out`` and is tagged with its run's index.  The first run
+        truncates the spill file; later runs append after the previous
+        trace is closed at attach time.
         """
-        if not self.stream:
-            return None
-        return StreamingTrace(
+        return Trace(
             env,
-            window=self.window,
+            window=self.window if self.stream else None,
             spill=self.trace_out,
             run=len(self.runs),
             truncate=not self.runs,
@@ -114,34 +116,27 @@ class ObsSession:
 
     def attach(
         self,
-        trace: TraceSink,
+        trace: Trace,
         label: str = "",
         registry: Optional[Registry] = None,
     ) -> None:
         """Register one run's trace (called by Platform.__init__)."""
-        if isinstance(trace, StreamingTrace):
-            # Runs execute sequentially: the previous run is over, so
-            # drain its window and write its trailer *before* the new
-            # sink appends anything — the spill file keeps the exact
-            # record/trailer interleaving of an in-RAM dump.
-            self._close_open_sink()
-            trace.label = label
-            if self.chrome_out or self.report:
-                # Spans are only folded when an output will read them:
-                # span state is bounded by entity count (jobs/workers),
-                # not record count, but a pure spill session shouldn't
-                # pay even that.
-                from .spans import SpanBuilder
+        # Runs execute sequentially: the previous run is over, so close
+        # its trace (its records, then its trailer) *before* the new one
+        # logs anything.
+        self._close_last()
+        trace.label = label
+        builder = None
+        if self.chrome_out or self.report:
+            # Spans are only folded when an output will read them: span
+            # state is bounded by entity count (jobs/workers), not
+            # record count, but a pure dump session shouldn't pay even
+            # that.
+            from .spans import SpanBuilder
 
-                builder = SpanBuilder()
-                trace.subscribe(builder.fold)
-                self._span_builders.append(builder)
-            else:
-                self._span_builders.append(None)
-        elif self.stream:
-            # An in-RAM trace attached under a streaming session (e.g. a
-            # hand-built platform); keep the fold list index-aligned.
-            self._span_builders.append(None)
+            builder = SpanBuilder()
+            trace.subscribe(builder.fold)
+        self._span_builders.append(builder)
         if self.progress_every:
             from .progress import ProgressTracker
 
@@ -154,13 +149,20 @@ class ObsSession:
         # Sessions measure wall time by design; sim code stays clock-free.
         self._attach_walls.append(time.perf_counter())  # repro: noqa[DT001]
 
-    def _close_open_sink(self) -> None:
-        """Close the most recently attached streaming sink, if open."""
+    def _close_last(self) -> None:
+        """Close the most recently attached trace (a no-op if closed)."""
         if not self.runs:
             return
-        _label, trace, _reg = self.runs[-1]
-        if isinstance(trace, StreamingTrace) and not trace.closed:
+        trace = self.runs[-1][1]
+        try:
+            # Deterministic perf trailer (no wall-clock): same-seed
+            # dumps must stay byte-identical.
             trace.close(perf=trace.perf())
+        except OSError as exc:
+            # Don't lose the report (or raise after a long sweep) over
+            # an unwritable dump path.
+            print(f"obs: cannot write {self.trace_out}: {exc}",
+                  file=sys.stderr)
 
     def __enter__(self) -> "ObsSession":
         _STACK.append(self)
@@ -172,108 +174,19 @@ class ObsSession:
             self.flush()
 
     def flush(self) -> None:
-        """Write every configured output for the captured runs."""
+        """Close the last run's trace, then render the Chrome trace and
+        the reports from the span folds."""
         if not self.runs:
             return
-        if self.stream:
-            self._flush_streaming()
-            return
-        if self.trace_out:
-            from .export import to_jsonl
-
-            try:
-                with open(self.trace_out, "w") as fh:
-                    for i, (label, trace, _reg) in enumerate(self.runs):
-                        to_jsonl(
-                            trace,
-                            fh,
-                            run=i,
-                            label=label,
-                            # Deterministic perf trailer (no wall-clock):
-                            # same-seed dumps must stay byte-identical.
-                            perf={
-                                "events": trace.env.events_processed,
-                                "records": len(trace.records),
-                                "sim_s": trace.env.now,
-                            },
-                        )
-            except OSError as exc:
-                # Don't lose the report (or raise after a long sweep)
-                # over an unwritable dump path.
-                print(f"obs: cannot write {self.trace_out}: {exc}",
-                      file=sys.stderr)
+        self._close_last()
         if self.chrome_out:
             from .export import to_chrome_trace
 
             try:
                 to_chrome_trace(
                     [
-                        (label, trace, registry)
-                        for label, trace, registry in self.runs
-                    ],
-                    self.chrome_out,
-                )
-            except OSError as exc:
-                print(f"obs: cannot write {self.chrome_out}: {exc}",
-                      file=sys.stderr)
-        if self.report:
-            from .report import render_report
-
-            stream = self.report_stream or sys.stdout
-            flush_wall = time.perf_counter()  # repro: noqa[DT001]
-            for i, (label, trace, registry) in enumerate(self.runs):
-                title = label or f"run {i}"
-                perf = {
-                    "events": trace.env.events_processed,
-                    "records": len(trace.records),
-                    "sim_s": trace.env.now,
-                }
-                # Runs execute sequentially, so a run's wall window ends
-                # where the next platform is built (or at flush).
-                if i < len(self._attach_walls):
-                    end = (
-                        self._attach_walls[i + 1]
-                        if i + 1 < len(self._attach_walls)
-                        else flush_wall
-                    )
-                    perf["wall_s"] = end - self._attach_walls[i]
-                print(
-                    render_report(
-                        trace, registry=registry, title=title, perf=perf
-                    ),
-                    file=stream,
-                )
-
-    def _flush_streaming(self) -> None:
-        """Streaming-mode flush: records already spilled as runs ran.
-
-        Closes the last sink (drain + trailer), then renders the Chrome
-        trace and reports from the incrementally-folded spans — the
-        full record stream is never rematerialized.
-        """
-        self._close_open_sink()
-        if not (self.chrome_out or self.report):
-            return
-        from .spans import build_spans
-
-        def spans_for(i: int, trace: TraceSink):
-            builder = (
-                self._span_builders[i]
-                if i < len(self._span_builders)
-                else None
-            )
-            if builder is not None:
-                return builder.result()
-            return build_spans(trace)
-
-        if self.chrome_out:
-            from .export import to_chrome_trace
-
-            try:
-                to_chrome_trace(
-                    [
-                        (label, spans_for(i, trace), registry)
-                        for i, (label, trace, registry) in enumerate(
+                        (label, self._span_builders[i].result(), registry)
+                        for i, (label, _trace, registry) in enumerate(
                             self.runs
                         )
                     ],
@@ -289,7 +202,9 @@ class ObsSession:
             flush_wall = time.perf_counter()  # repro: noqa[DT001]
             for i, (label, trace, registry) in enumerate(self.runs):
                 title = label or f"run {i}"
-                perf = _sink_perf(trace)
+                perf = trace.perf()
+                # Runs execute sequentially, so a run's wall window ends
+                # where the next platform is built (or at flush).
                 if i < len(self._attach_walls):
                     end = (
                         self._attach_walls[i + 1]
@@ -299,24 +214,13 @@ class ObsSession:
                     perf["wall_s"] = end - self._attach_walls[i]
                 print(
                     render_report(
-                        spans_for(i, trace),
+                        self._span_builders[i].result(),
                         registry=registry,
                         title=title,
                         perf=perf,
                     ),
                     file=stream,
                 )
-
-
-def _sink_perf(trace: TraceSink) -> dict:
-    """Deterministic perf payload for any sink kind."""
-    if isinstance(trace, StreamingTrace):
-        return trace.perf()
-    return {
-        "events": trace.env.events_processed,
-        "records": len(trace.records),
-        "sim_s": trace.env.now,
-    }
 
 
 def unwritable_reason(path: Optional[str]) -> Optional[str]:

@@ -16,9 +16,10 @@ mirror the start/stop instrumentation the paper's evaluation is built on
 * :class:`WorkerSpan` — one per pilot worker: ``started → registered →
   idle ⇄ busy → (heartbeat_missed →) lost | stopped``.
 
-The builder is a single pass over the records, so it works equally on a
-live :class:`~repro.simkernel.Trace` and on records re-read from a JSONL
-export (:func:`repro.obs.export.read_jsonl`).
+The builder is a single fold over the records, so it works equally as a
+live subscriber of a :class:`~repro.simkernel.Trace`, over a trace that
+kept every record, and over records re-read from a JSONL export
+(:func:`repro.obs.export.read_jsonl`).
 
 The state vocabularies and transition graphs are declared once in
 :mod:`repro.analysis.lifecycle` (this module re-exports the state
@@ -29,14 +30,14 @@ machines, so the span builder and the validator cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Optional
 
 from ..analysis.lifecycle import (
     JOB_STATES,
     PROXY_STATES,
     WORKER_STATES,
 )
-from ..simkernel import Trace, TraceRecord
+from ..simkernel import TraceRecord
 
 __all__ = [
     "JOB_STATES",
@@ -254,6 +255,10 @@ class RunSpans:
     #: Crash point the last resume reported (sim-time of the torn run's
     #: final journaled record).
     crash_time: Optional[float] = None
+    #: ``counter.*`` mirror records as ``name -> [(time, value)]``.
+    counters: dict[str, list[tuple[float, float]]] = field(
+        default_factory=dict
+    )
     #: Run metadata from the ``run.allocation`` record, when present.
     allocation_nodes: Optional[int] = None
     cores_per_node: Optional[int] = None
@@ -293,35 +298,26 @@ def _worker_span(run: RunSpans, worker_id: int) -> WorkerSpan:
     return span
 
 
-_SPAN_FAMILIES = ("job.", "worker.", "proxy.", "fault.", "resume.")
-
-
 class SpanBuilder:
     """Incremental span assembly: fold records one at a time.
 
-    The streaming subscriber form of :func:`build_spans`: subscribe
-    :meth:`fold` to any :class:`~repro.simkernel.TraceSink` (or call it
-    per record while tailing a JSONL file) and read :attr:`run` at any
-    point — the folded spans are always consistent with the records seen
-    so far.  State is proportional to the number of *entities* (jobs,
-    workers), not records, so million-record runs fold in bounded extra
-    memory while counter ticks and wire chatter stream past.
-
-    ``track_window=False`` skips the first/last-record window tracking
-    (the Trace fast path supplies the window from the full record list).
+    Subscribe :meth:`fold` to a :class:`~repro.simkernel.Trace` (or call
+    it per record while tailing a JSONL file) and read :attr:`run` at
+    any point — the folded spans are always consistent with the records
+    seen so far.  State is proportional to the number of *entities*
+    (jobs, workers) and counter ticks, not records, so million-record
+    runs fold in bounded extra memory while wire chatter streams past.
     """
 
-    def __init__(self, track_window: bool = True):
+    def __init__(self):
         self.run = RunSpans()
-        self._track_window = track_window
 
     def fold(self, rec: TraceRecord) -> None:
         """Fold one record into the spans (subscriber entry point)."""
         run = self.run
-        if self._track_window:
-            if run.t_first is None:
-                run.t_first = rec.time
-            run.t_last = rec.time
+        if run.t_first is None:
+            run.t_first = rec.time
+        run.t_last = rec.time
         cat, data = rec.category, rec.data or {}
         if cat.startswith("job."):
             _apply_job(run, rec.time, cat[4:], data)
@@ -329,6 +325,13 @@ class SpanBuilder:
             _apply_worker(run, rec.time, cat[7:], data)
         elif cat.startswith("proxy."):
             _apply_proxy(run, rec.time, cat[6:], data)
+        elif cat.startswith("counter."):
+            # The mirror record of a traced Counter (its Perfetto track).
+            data = rec.data if isinstance(rec.data, dict) else {}
+            name = data.get("counter") or cat[8:]
+            run.counters.setdefault(name, []).append(
+                (rec.time, float(data.get("value", 0.0)))
+            )
         elif cat.startswith("fault."):
             kind = cat[6:]
             if kind != "heal":  # heal records close faults, not open them
@@ -348,38 +351,12 @@ class SpanBuilder:
         return self.run
 
 
-def build_spans(
-    source: Union[Trace, Iterable[TraceRecord]],
-) -> RunSpans:
-    """Assemble lifecycle spans from a trace (or raw record iterable).
-
-    A live :class:`Trace` is consumed through its category index: only
-    lifecycle-family records are visited (counter ticks — often the bulk
-    of a run's records — are skipped entirely), while ``t_first`` /
-    ``t_last`` still come from the full record list so the reported run
-    window is unchanged.  Raw record iterables (the JSONL reload path)
-    are scanned as before.  For *streaming* sinks, subscribe a
-    :class:`SpanBuilder` instead — by the time a windowed sink could be
-    scanned here, evicted records would already be gone.
-    """
-    records: Iterable[TraceRecord]
+def build_spans(source: Iterable[TraceRecord]) -> RunSpans:
+    """Assemble lifecycle spans from any record iterable — a trace that
+    kept every record, or records re-read from a JSONL dump."""
     builder = SpanBuilder()
-    if isinstance(source, Trace):
-        if source.records:
-            builder.run.t_first = source.records[0].time
-            builder.run.t_last = source.records[-1].time
-        records = source.select_any(
-            [
-                c
-                for c in source.categories()
-                if c.startswith(_SPAN_FAMILIES) or c == "run.allocation"
-            ]
-        )
-        builder._track_window = False
-    else:
-        records = source
     fold = builder.fold
-    for rec in records:
+    for rec in source:
         fold(rec)
     return builder.run
 

@@ -24,10 +24,8 @@ from .monitor import (
     Counter,
     Gauge,
     IntervalLog,
-    StreamingTrace,
     Trace,
     TraceRecord,
-    TraceSink,
 )
 from .resources import (
     Container,
@@ -60,9 +58,7 @@ __all__ = [
     "SeededOrder",
     "SimulationError",
     "Store",
-    "StreamingTrace",
     "Timeout",
     "Trace",
     "TraceRecord",
-    "TraceSink",
 ]

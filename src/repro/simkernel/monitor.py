@@ -5,20 +5,15 @@ rates, load levels) from :class:`Trace` records and :class:`Gauge` series
 rather than ad-hoc bookkeeping inside the model, mirroring how the paper
 instruments worker/task start/stop times (Section 6.1.5).
 
-Two trace sinks implement the :class:`TraceSink` contract:
-
-* :class:`Trace` — the default in-RAM indexed sink.  Every record is
-  retained and indexed per category; post-hoc ``select``/``times``
-  queries answer in O(matches).  Memory grows linearly with the run.
-* :class:`StreamingTrace` — the bounded-memory sink.  Records flow
-  through a retention window (a high-water-marked deque of interned
-  compact records); older records spill to a JSONL segment file in the
-  exact archival format :func:`repro.obs.export.to_jsonl` writes, so a
-  spilled trace is a first-class ``jets report`` / ``jets lint-trace``
-  input.  Consumers that need the full record stream subscribe
-  (:meth:`TraceSink.subscribe`) and fold each record *at log time*,
-  before any eviction — the subscriber contract guarantees every record
-  is delivered exactly once, in log order.
+:class:`Trace` is the one trace sink.  By default it keeps every record
+and answers post-hoc ``select``/``times`` queries in O(matches).  Given
+a retention window it keeps only the newest records, and older ones
+spill to a JSONL file in the archival format :func:`record_encoder`
+writes (so a spilled trace is a first-class ``jets report`` /
+``jets lint-trace`` input) or are dropped.  Consumers that need every
+record of a bounded run subscribe (:meth:`Trace.subscribe`) and fold
+each record at log time, before any eviction: every record reaches
+every subscriber exactly once, in log order.
 """
 
 from __future__ import annotations
@@ -28,15 +23,13 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from .core import Environment
 
 __all__ = [
     "TraceRecord",
-    "TraceSink",
     "Trace",
-    "StreamingTrace",
     "Counter",
     "Gauge",
     "IntervalLog",
@@ -88,12 +81,12 @@ def record_encoder(
     over ``{"t": t, "cat": category, "data": sanitize(data), "run": run,
     "label": label}`` (``data`` left out when None, ``run`` when None,
     ``label`` when empty).  Every archival line goes through one: the
-    streaming spill, :func:`repro.obs.export.to_jsonl`, the canonical
-    digest and the run journal.  So an in-RAM dump, a spilled trace and
-    a journal are byte-identical by construction.  Build one per tag and
+    trace spill, :func:`repro.obs.export.to_jsonl`, the canonical
+    digest and the run journal.  So a dump, a spilled trace and a
+    journal are byte-identical by construction.  Build one per tag and
     keep it: it caches each category's encoded form and each payload
     key's ``"key":`` prefix (categories are strings, as
-    :meth:`TraceSink.log` requires).  A dict payload's exact-type
+    :meth:`Trace.log` requires).  A dict payload's exact-type
     ``str``, ``int``, ``bool``, finite ``float`` and None values are
     encoded inline; any other payload goes through :func:`sanitize`.
     """
@@ -198,25 +191,92 @@ class TraceRecord:
         )
 
 
-class TraceSink:
-    """The sink contract every trace implementation satisfies.
+class Trace:
+    """The trace sink: every record, or a bounded window of the newest.
 
-    Sinks accept :meth:`log` calls and fan each finished record out to
-    registered subscribers *synchronously, in log order, exactly once* —
-    before any retention policy may evict it.  Subscribers are plain
-    callables taking one :class:`TraceRecord`; they must not log into
-    the sink re-entrantly unless they guard against their own records
-    (see :class:`repro.obs.progress.ProgressTracker`).
+    ``window=None`` keeps every record.  A ``window`` bounds what the
+    sink holds (the high-water mark, at least one record): past it, the
+    oldest records are evicted one at a time, each popped and then
+    encoded onto a segment buffer that is written to the ``spill`` file
+    every ``segment_records`` lines, or dropped and counted in
+    :attr:`dropped` when there is no spill.  Spilled lines carry the
+    archival format of :func:`record_encoder`, tagged with ``run`` and
+    ``label`` as they stand when the first line is encoded (a session
+    labels a sink after building it); ``truncate`` opens the spill for
+    writing instead of appending.
+
+    Subscribers (:meth:`subscribe`) receive every record synchronously,
+    in log order, exactly once, before it can be evicted.  They must not
+    log into the sink re-entrantly unless they guard against their own
+    records (see :class:`repro.obs.progress.ProgressTracker`).
+
+    The queries (:attr:`records`, iteration, :meth:`select`,
+    :meth:`select_any`, :meth:`times`) answer over every record, through
+    a category index built on the first query and extended on later
+    ones, so :meth:`log` does no index work.  Once the window has evicted
+    a record they raise :class:`ValueError`: a consumer that needs every
+    record of a bounded run folds them as they are logged.
+    :meth:`counts`, :meth:`categories` and ``len`` cover every record
+    either way.
     """
 
-    env: Environment
-
-    def __init__(self, env: Environment):
+    def __init__(
+        self,
+        env: Environment,
+        window: Optional[int] = None,
+        spill: Optional[str] = None,
+        run: Optional[int] = None,
+        label: str = "",
+        truncate: bool = False,
+        segment_records: int = 8192,
+    ):
         self.env = env
         self._subscribers: list[Callable[[TraceRecord], None]] = []
+        #: Most records held at once; None keeps every record.
+        self.high_water = None if window is None else max(1, int(window))
+        #: The records held, oldest first.
+        self.window: Union[list[TraceRecord], "deque[TraceRecord]"] = (
+            [] if window is None else deque()
+        )
+        self.spill_path = spill
+        self.run = run
+        self.label = label
+        self.segment_records = max(1, int(segment_records))
+        #: Records written to the spill file so far.
+        self.spilled = 0
+        #: Records evicted with no spill path configured.
+        self.dropped = 0
+        #: Records logged after :meth:`close` (e.g. component teardown
+        #: finalizers firing after the session flushed): counted, not
+        #: kept, and not passed to subscribers.
+        self.late = 0
+        self.closed = False
+        self._truncate = truncate
+        self._fh = None
+        self._segment: list[str] = []
+        self._encode: Optional[Callable[[float, str, Any], str]] = None
+        #: category -> records evicted (insertion-ordered, interned
+        #: keys); the records held are counted when asked.
+        self._evicted: dict[str, int] = {}
+        #: category -> ascending positions in :attr:`window`, covering
+        #: the first ``_indexed`` records (extended by each query).
+        self._index: dict[str, list[int]] = {}
+        self._indexed = 0
 
     def log(self, category: str, data: Any = None) -> None:
-        raise NotImplementedError
+        """Record ``data`` under ``category`` at the current sim time."""
+        if self.closed:
+            self.late += 1
+            return
+        rec = TraceRecord(self.env.now, sys.intern(category), data)
+        window = self.window
+        window.append(rec)
+        if self._subscribers:
+            for fn in self._subscribers:
+                fn(rec)
+        high = self.high_water
+        if high is not None and len(window) > high:
+            self._evict(len(window) - high)
 
     def subscribe(
         self, fn: Callable[[TraceRecord], None]
@@ -229,197 +289,17 @@ class TraceSink:
         """Remove a subscriber registered with :meth:`subscribe`."""
         self._subscribers.remove(fn)
 
-
-class Trace(TraceSink):
-    """Append-only event trace with indexed category filtering.
-
-    Alongside the flat ``records`` list, the trace maintains a
-    per-category index of record positions, built incrementally on
-    :meth:`log`.  Category strings are interned (the same few dozen
-    constants repeat millions of times), and :meth:`select` /
-    :meth:`times` answer in O(matches) instead of scanning every record
-    — they are called once per category by the report renderer, span
-    builder, trace linter, and protocol validator.
-    """
-
-    def __init__(self, env: Environment):
-        super().__init__(env)
-        self.records: list[TraceRecord] = []
-        #: category -> ascending record indices (insertion-ordered keys).
-        self._index: dict[str, list[int]] = {}
-
-    def log(self, category: str, data: Any = None) -> None:
-        """Record ``data`` under ``category`` at the current sim time."""
-        category = sys.intern(category)
-        records = self.records
-        bucket = self._index.get(category)
-        if bucket is None:
-            bucket = self._index[category] = []
-        bucket.append(len(records))
-        rec = TraceRecord(self.env.now, category, data)
-        records.append(rec)
-        if self._subscribers:
-            for fn in self._subscribers:
-                fn(rec)
-
-    def categories(self, prefix: str = "") -> list[str]:
-        """Distinct categories (optionally under ``prefix``), in first-
-        appearance order."""
-        if prefix:
-            return [c for c in self._index if c.startswith(prefix)]
-        return list(self._index)
-
-    def _indices(self, category: str, prefix: bool) -> list[int]:
-        """Ascending record indices matching a category (or prefix)."""
-        if not prefix:
-            return self._index.get(category, [])
-        buckets = [
-            b for c, b in self._index.items() if c.startswith(category)
-        ]
-        if len(buckets) == 1:
-            return buckets[0]
-        merged: list[int] = []
-        for b in buckets:
-            merged.extend(b)
-        merged.sort()
-        return merged
-
-    def select(self, category: str, prefix: bool = False) -> list[TraceRecord]:
-        """All records in ``category``, in time order.
-
-        With ``prefix=True``, ``category`` matches as a prefix instead
-        (``select("job.", prefix=True)`` returns every job-lifecycle
-        record in one indexed lookup).
-        """
-        records = self.records
-        return [records[i] for i in self._indices(category, prefix)]
-
-    def select_any(self, categories: Iterable[str]) -> list[TraceRecord]:
-        """Records in any of the given exact categories, merged in time
-        order — one indexed lookup for multi-family consumers (the span
-        builder, Fig. 10 interval extraction)."""
-        buckets = [
-            self._index[c] for c in categories if c in self._index
-        ]
-        if not buckets:
-            return []
-        if len(buckets) == 1:
-            idx = buckets[0]
-        else:
-            idx = []
-            for b in buckets:
-                idx.extend(b)
-            idx.sort()
-        records = self.records
-        return [records[i] for i in idx]
-
-    def times(self, category: str, prefix: bool = False) -> list[float]:
-        """Timestamps of all records in ``category`` (or category prefix)."""
-        records = self.records
-        return [records[i].time for i in self._indices(category, prefix)]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-class StreamingTrace(TraceSink):
-    """Bounded-memory trace sink: retention window + JSONL spill segments.
-
-    Records pass through a deque capped at ``window`` entries (the
-    high-water mark).  When the window overflows, the oldest records are
-    evicted in log order: appended to an in-memory segment buffer and
-    written to the ``spill`` file once ``segment_records`` lines
-    accumulate (one large write per segment instead of one per record).
-    Without a spill path, evicted records are simply dropped and counted
-    in :attr:`dropped` — the subscribers have already folded them.
-
-    The spill file uses the archival JSONL format of
-    :func:`repro.obs.export.to_jsonl` (via :func:`record_encoder`),
-    tagged with this sink's ``run``/``label`` as they stand when the
-    first record spills, and :meth:`close` appends the deterministic
-    ``{"meta": "perf"}`` trailer — so a fully-spilled trace is
-    byte-identical to an in-RAM dump of the same seed and feeds straight
-    into ``jets report`` / ``jets lint-trace``.
-
-    The query surface (:meth:`select`, :meth:`times`, :meth:`select_any`,
-    :meth:`categories`) answers over the *retained window only*; all-time
-    per-category totals survive eviction in :meth:`counts`.  Consumers
-    needing the full stream must subscribe before records flow.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        window: int = 65536,
-        spill: Optional[str] = None,
-        run: Optional[int] = None,
-        label: str = "",
-        truncate: bool = False,
-        segment_records: int = 8192,
-    ):
-        super().__init__(env)
-        self.window: "deque[TraceRecord]" = deque()
-        self.high_water = max(1, int(window))
-        self.spill_path = spill
-        self.run = run
-        self.label = label
-        self.segment_records = max(1, int(segment_records))
-        #: All-time record count (monotone; includes evicted records).
-        self.total = 0
-        #: Records written to the spill file so far.
-        self.spilled = 0
-        #: Records evicted with no spill path configured.
-        self.dropped = 0
-        #: Records logged after :meth:`close` (e.g. component teardown
-        #: finalizers firing after the session flushed); silently
-        #: dropped — an in-RAM trace never exports post-dump records
-        #: either — but counted for tests and diagnostics.
-        self.late = 0
-        self.closed = False
-        self._truncate = truncate
-        self._fh = None
-        self._segment: list[str] = []
-        #: Built at the first spill: the session labels a sink when it
-        #: attaches it, after construction.
-        self._encode: Optional[Callable[[float, str, Any], str]] = None
-        #: category -> all-time count (insertion-ordered, interned keys).
-        self._counts: dict[str, int] = {}
-        self._first_time: Optional[float] = None
-        self._last_time: Optional[float] = None
-
-    def log(self, category: str, data: Any = None) -> None:
-        """Record ``data`` under ``category`` at the current sim time.
-
-        After :meth:`close` the record is counted in :attr:`late` and
-        dropped (the spill file is complete; late teardown logs have
-        nowhere correct to go).
-        """
-        if self.closed:
-            self.late += 1
-            return
-        category = sys.intern(category)
-        counts = self._counts
-        counts[category] = counts.get(category, 0) + 1
-        rec = TraceRecord(self.env.now, category, data)
-        self.total += 1
-        if self._first_time is None:
-            self._first_time = rec.time
-        self._last_time = rec.time
-        window = self.window
-        window.append(rec)
-        if self._subscribers:
-            for fn in self._subscribers:
-                fn(rec)
-        if len(window) > self.high_water:
-            self._evict(len(window) - self.high_water)
-
     # -- retention / spill ----------------------------------------------------
 
     def _evict(self, n: int) -> None:
+        """Spill, or drop, the ``n`` oldest records, popping one at a
+        time so each record is freed as soon as it is encoded."""
         window = self.window
+        evicted = self._evicted
         if self.spill_path is None:
             for _ in range(n):
-                window.popleft()
+                category = window.popleft().category
+                evicted[category] = evicted.get(category, 0) + 1
             self.dropped += n
             return
         encode = self._encode
@@ -428,7 +308,9 @@ class StreamingTrace(TraceSink):
         segment = self._segment
         for _ in range(n):
             rec = window.popleft()
-            segment.append(encode(rec.time, rec.category, rec.data))
+            category = rec.category
+            evicted[category] = evicted.get(category, 0) + 1
+            segment.append(encode(rec.time, category, rec.data))
         self.spilled += n
         if len(segment) >= self.segment_records:
             self._write_segment()
@@ -451,24 +333,28 @@ class StreamingTrace(TraceSink):
             if self._fh is not None:
                 self._fh.flush()
 
-    def drain(self) -> None:
-        """Spill (or drop) every retained record, emptying the window."""
-        if self.window:
-            self._evict(len(self.window))
-        self.flush()
-
     def close(self, perf: Optional[dict] = None) -> None:
-        """Drain the window, append the perf trailer, release the file.
+        """End the run: write out what the sink holds, then the trailer.
 
-        ``perf`` should be seed-deterministic (kernel events, record
-        count, simulated seconds — never wall-clock) so same-seed spills
-        stay byte-identical.  Closing twice is a no-op.
+        A bounded sink evicts its whole window; an unbounded one keeps
+        its records, so they can still be queried.  With a spill, the
+        records not yet spilled follow those already written, then the
+        ``{"meta": "perf"}`` trailer when ``perf`` is given, and the file
+        is released.  ``perf`` should be seed-deterministic (kernel
+        events, record count, simulated seconds — never wall-clock) so
+        same-seed spills stay byte-identical.  Closing twice is a no-op.
         """
         if self.closed:
             return
-        self.drain()
+        if self.high_water is not None:
+            self._evict(len(self.window))
         if self.spill_path is not None:
+            self._write_segment()
             fh = self._open()
+            encode = self._encode or record_encoder(self.run, self.label)
+            for rec in self.window:
+                fh.write(encode(rec.time, rec.category, rec.data))
+            self.spilled += len(self.window)
             if perf is not None:
                 fh.write(trailer_line(perf, self.run))
             fh.close()
@@ -479,56 +365,122 @@ class StreamingTrace(TraceSink):
         """The deterministic perf trailer payload for this sink's run."""
         return {
             "events": self.env.events_processed,
-            "records": self.total,
+            "records": len(self),
             "sim_s": self.env.now,
         }
 
-    # -- query surface (retained window only) ---------------------------------
+    # -- queries --------------------------------------------------------------
 
     @property
-    def records(self) -> list[TraceRecord]:
-        """The retained window as a list (oldest first)."""
-        return list(self.window)
+    def total(self) -> int:
+        """Records logged before :meth:`close`, evicted ones included."""
+        return sum(self._evicted.values()) + len(self.window)
+
+    def __len__(self) -> int:
+        return self.total
 
     @property
     def retained(self) -> int:
-        """How many records the window currently holds."""
+        """How many records the sink holds."""
         return len(self.window)
 
     def counts(self, prefix: str = "") -> dict[str, int]:
-        """All-time per-category record counts (eviction-proof)."""
+        """Records logged per category (optionally under ``prefix``), in
+        first-appearance order: the evicted ones, then those held."""
+        counts = dict(self._evicted)
+        for rec in self.window:
+            category = rec.category
+            counts[category] = counts.get(category, 0) + 1
         if prefix:
-            return {
-                c: n for c, n in self._counts.items() if c.startswith(prefix)
-            }
-        return dict(self._counts)
+            return {c: n for c, n in counts.items() if c.startswith(prefix)}
+        return counts
 
     def categories(self, prefix: str = "") -> list[str]:
-        """Distinct categories ever logged, in first-appearance order."""
-        if prefix:
-            return [c for c in self._counts if c.startswith(prefix)]
-        return list(self._counts)
+        """Distinct categories logged (optionally under ``prefix``), in
+        first-appearance order."""
+        return list(self.counts(prefix))
+
+    def _all(self) -> list[TraceRecord]:
+        """Every record logged, or ValueError once one was evicted."""
+        window = self.window
+        if self._evicted:
+            raise ValueError(
+                f"trace retained {len(window)} of {self.total} records; "
+                "subscribe TraceValidator.feed or SpanBuilder.fold to it "
+                "before the run to see every record"
+            )
+        return window if self.high_water is None else list(window)
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """Every record, oldest first."""
+        return self._all()
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return iter(self._all())
+
+    def _indexed_records(self) -> list[TraceRecord]:
+        """Every record, with the category index extended to cover it."""
+        records = self.window if self.high_water is None else self._all()
+        start = self._indexed
+        if start < len(records):
+            index = self._index
+            for i in range(start, len(records)):
+                category = records[i].category
+                bucket = index.get(category)
+                if bucket is None:
+                    bucket = index[category] = []
+                bucket.append(i)
+            self._indexed = len(records)
+        return records
+
+    def _indices(self, category: str, prefix: bool) -> list[int]:
+        """Ascending record positions matching a category (or prefix)."""
+        if not prefix:
+            return self._index.get(category, [])
+        buckets = [
+            b for c, b in self._index.items() if c.startswith(category)
+        ]
+        if len(buckets) == 1:
+            return buckets[0]
+        merged: list[int] = []
+        for b in buckets:
+            merged.extend(b)
+        merged.sort()
+        return merged
 
     def select(self, category: str, prefix: bool = False) -> list[TraceRecord]:
-        """Retained records in ``category`` (or category prefix)."""
-        if prefix:
-            return [
-                r for r in self.window if r.category.startswith(category)
-            ]
-        return [r for r in self.window if r.category == category]
+        """All records in ``category``, in time order.
+
+        With ``prefix=True``, ``category`` matches as a prefix instead
+        (``select("job.", prefix=True)`` returns every job-lifecycle
+        record in one indexed lookup).
+        """
+        records = self._indexed_records()
+        return [records[i] for i in self._indices(category, prefix)]
 
     def select_any(self, categories: Iterable[str]) -> list[TraceRecord]:
-        """Retained records in any given category, in time order."""
-        wanted = set(categories)
-        return [r for r in self.window if r.category in wanted]
+        """Records in any of the given exact categories, merged in time
+        order — one indexed lookup for multi-family consumers (Fig. 10
+        interval extraction)."""
+        records = self._indexed_records()
+        index = self._index
+        buckets = [index[c] for c in categories if c in index]
+        if not buckets:
+            return []
+        if len(buckets) == 1:
+            idx = buckets[0]
+        else:
+            idx = []
+            for b in buckets:
+                idx.extend(b)
+            idx.sort()
+        return [records[i] for i in idx]
 
     def times(self, category: str, prefix: bool = False) -> list[float]:
-        """Timestamps of retained records in ``category`` (or prefix)."""
-        return [r.time for r in self.select(category, prefix)]
-
-    def __len__(self) -> int:
-        """All-time record count (total logged, not just retained)."""
-        return self.total
+        """Timestamps of all records in ``category`` (or category prefix)."""
+        records = self._indexed_records()
+        return [records[i].time for i in self._indices(category, prefix)]
 
 
 class Counter:

@@ -118,6 +118,39 @@ class TestLintTrace:
         assert main(["report", str(corrupted)]) == 2
         assert f"bad trace file: {corrupted}:5:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"t":0.0,"cat":5,"data":{"x":1}}',
+            '{"cat":"job.submitted","data":{"job":1}}',
+            "[1,2]",
+        ],
+        ids=["cat-not-string", "no-time", "not-an-object"],
+    )
+    def test_malformed_record_is_named_by_file_and_line(
+        self, trace_file, tmp_path, capsys, line
+    ):
+        from repro.core.cli import main
+
+        bad = tmp_path / "bad.jsonl"
+        lines = trace_file.read_text().splitlines()
+        lines[2] = line
+        bad.write_text("\n".join(lines) + "\n")
+        assert lint_trace_main([str(bad)]) == 2
+        assert f"bad trace file: {bad}:3:" in capsys.readouterr().err
+        assert main(["report", str(bad)]) == 2
+        assert f"bad trace file: {bad}:3:" in capsys.readouterr().err
+
+    def test_unhashable_entity_id_is_tv005(self, tmp_path, capsys):
+        bad = tmp_path / "list-id.jsonl"
+        bad.write_text(
+            '{"t":0.0,"cat":"job.submitted","data":'
+            '{"job":[1],"mpi":false,"nodes":1,"ppn":1}}\n'
+        )
+        assert lint_trace_main([str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "TV005" in out and "[1]" in out
+
 
 def test_jets_cli_dispatches_lint(tmp_path, capsys):
     from repro.core.cli import main

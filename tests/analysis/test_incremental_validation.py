@@ -1,9 +1,9 @@
-"""Incremental validators vs post-hoc scans, across both sink kinds.
+"""Incremental validators vs post-hoc scans, bounded trace or not.
 
 The trace and protocol oracles were converted from post-hoc full scans
-to incremental subscribers so they can ride a windowed streaming sink.
-These tests pin the refactor's contract: feeding records one at a time —
-including through a StreamingTrace whose window is far smaller than the
+to incremental subscribers so they can ride a trace with a retention
+window.  These tests pin the refactor's contract: feeding records one at
+a time — including through a Trace whose window is far smaller than the
 stream, so most records are evicted right after fan-out — produces the
 exact issue list the legacy whole-trace scan reports.
 """
@@ -16,7 +16,7 @@ from repro.analysis.protocol import (
     validate_sessions,
 )
 from repro.analysis.tracecheck import TraceValidator, validate_records
-from repro.simkernel import StreamingTrace, Trace, TraceRecord
+from repro.simkernel import Trace, TraceRecord
 
 
 def _mixed_stream():
@@ -61,7 +61,7 @@ class TestTraceValidatorEquivalence:
 
     def test_windowed_sink_fold_matches_in_ram_fold(self, env):
         """Same synthetic stream through both sinks → same verdicts."""
-        ram, streaming = Trace(env), StreamingTrace(env, window=3)
+        ram, streaming = Trace(env), Trace(env, window=3)
         v_ram, v_stream = TraceValidator(), TraceValidator()
         ram.subscribe(v_ram.feed)
         streaming.subscribe(v_stream.feed)

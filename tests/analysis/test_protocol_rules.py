@@ -84,6 +84,20 @@ class TestSessionValidation:
         problems = validate_sessions(msgs)
         assert any("credit" in p for p in problems)
 
+    def test_register_with_non_int_slots_is_a_problem(self):
+        msgs = [
+            WireMessage(
+                1, "jets", protocol.REGISTER,
+                (protocol.REGISTER, 0, 0, "x"), service="jets",
+            ),
+            # No credit ledger was opened: the session goes on unchecked.
+            _msg(1, "jets", protocol.READY, 0),
+            _msg(1, "jets", protocol.RUN_TASK, "j0"),
+        ]
+        assert validate_sessions(msgs) == [
+            "msg 0 [jets#1]: register announces 'x' slots, not an int"
+        ]
+
     def test_unknown_kind_flagged(self):
         problems = validate_sessions([_msg(1, "jets", "bogus")])
         assert any("bogus" in p for p in problems)

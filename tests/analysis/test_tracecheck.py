@@ -9,7 +9,7 @@ from repro.apps.synthetic import BarrierSleepBarrier, SleepProgram
 from repro.cluster.machine import generic_cluster
 from repro.core.jets import Simulation
 from repro.core.tasklist import JobSpec, TaskList
-from repro.simkernel.monitor import StreamingTrace, TraceRecord
+from repro.simkernel.monitor import Trace, TraceRecord
 
 
 def rec(t, cat, data=None):
@@ -227,13 +227,13 @@ class TestValidateTraceSinks:
 
     def test_sink_that_evicted_records_is_refused(self, env):
         """A replay of the retained tail would report false TV004s."""
-        sink = StreamingTrace(env, window=4)
+        sink = Trace(env, window=4)
         self.log_submits(sink, 9)
         with pytest.raises(ValueError, match="TraceValidator.feed"):
             validate_trace(sink)
 
     def test_streaming_sink_that_kept_every_record(self, env):
-        sink = StreamingTrace(env, window=16)
+        sink = Trace(env, window=16)
         self.log_submits(sink, 9)
         issues = validate_trace(sink)
         assert codes(issues) == ["TV001"]

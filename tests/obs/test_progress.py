@@ -18,7 +18,7 @@ from repro.obs.progress import (
     render_top,
     top_main,
 )
-from repro.simkernel import StreamingTrace, Trace, TraceRecord
+from repro.simkernel import Trace, TraceRecord
 
 
 def _drive(env, sink, n=12, step=0.5, cat="job.done"):
@@ -73,7 +73,7 @@ class TestProgressTracker:
         assert not t.select(OBS_PROGRESS)
 
     def test_works_on_streaming_sink_across_eviction(self, env):
-        t = StreamingTrace(env, window=4)
+        t = Trace(env, window=4)
         tracker = ProgressTracker(t, every=1.0)
         _drive(env, t, n=40, step=0.25)
         assert tracker.emitted > 0
@@ -118,7 +118,7 @@ class TestParseLine:
 class TestLiveRunState:
     def _spill(self, tmp_path, env):
         path = tmp_path / "run.jsonl"
-        t = StreamingTrace(env, window=8, spill=str(path), run=0,
+        t = Trace(env, window=8, spill=str(path), run=0,
                            truncate=True)
         ProgressTracker(t, every=1.0)
         _drive(env, t, n=10, step=0.5)
@@ -181,7 +181,7 @@ class TestRenderTop:
 class TestFollowAndTopClis:
     def _complete_spill(self, tmp_path, env):
         path = tmp_path / "run.jsonl"
-        t = StreamingTrace(env, window=8, spill=str(path), run=0,
+        t = Trace(env, window=8, spill=str(path), run=0,
                            truncate=True)
         ProgressTracker(t, every=1.0)
         _drive(env, t, n=8, step=0.5)

@@ -14,10 +14,15 @@ import io
 import itertools
 import json
 
+import pytest
+
 import repro.core.tasklist as tasklist
 import repro.core.worker as worker
+from repro.cluster.machine import generic_cluster
+from repro.cluster.platform import Platform
 from repro.core.chaos import ChaosConfig, run_chaos_plan
-from repro.experiments import fig06_sequential
+from repro.experiments import ablations, fig06_sequential, fig07_cluster
+from repro.experiments import fig10_faults
 from repro.obs import session as obs_session
 
 
@@ -126,3 +131,81 @@ class TestChaosVerdictEquivalence:
                 stream.jobs_submitted,
             )
             assert ram.ok and stream.ok
+
+
+class TestMultiRunParity:
+    """Sweeps of several platforms: one spill file, runs closed in turn."""
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            lambda: fig07_cluster.run(alloc_sizes=(8,), jobs_per_node=2),
+            lambda: ablations.run_dispatcher_sensitivity(nodes=16),
+        ],
+        ids=["fig07", "dispatcher_sensitivity"],
+    )
+    def test_windowed_dump_is_byte_identical(self, tmp_path, driver):
+        dumps, runs = [], []
+        for name, bound in (("ram", {}), ("window", {"window": 16})):
+            _reset_id_counters()
+            path = tmp_path / f"{name}.jsonl"
+            kwargs = {"stream": True, **bound} if bound else {}
+            with obs_session(trace_out=str(path), **kwargs) as s:
+                driver()
+            dumps.append(path.read_bytes())
+            runs.append(s.runs)
+        assert dumps[0] == dumps[1]
+        assert len(runs[0]) == len(runs[1]) == 4
+        # No run logged into its trace after the next run closed it.
+        assert all(t.late == 0 for rs in runs for _l, t, _r in rs)
+
+
+class TestWindowedQueries:
+    """A driver that queries its trace after the run cannot answer from
+    a window: it says so instead of computing from a partial trace."""
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            lambda: fig10_faults.run(
+                workers=8, fault_interval=5.0, task_duration=1.0
+            ),
+            lambda: ablations.run_spectrum(workers=8),
+        ],
+        ids=["fig10", "spectrum"],
+    )
+    def test_query_after_eviction_raises(self, driver):
+        _reset_id_counters()
+        with pytest.raises(ValueError, match=r"retained 16 of \d+ records"):
+            with obs_session(stream=True, window=16):
+                driver()
+
+
+class TestCounterTracks:
+    @staticmethod
+    def _counter_run(path, **session_kwargs):
+        with obs_session(chrome_out=str(path), **session_kwargs):
+            platform = Platform(generic_cluster(nodes=2))
+            ops = platform.metrics.counter("ops", traced=True)
+
+            def proc(env):
+                for _ in range(10):
+                    ops.incr()
+                    yield env.timeout(1.0)
+
+            platform.env.process(proc(platform.env))
+            platform.env.run()
+        return json.loads(path.read_text())
+
+    def test_traced_counter_track_survives_a_window(self, tmp_path):
+        ram = self._counter_run(tmp_path / "ram.trace.json")
+        windowed = self._counter_run(
+            tmp_path / "window.trace.json", stream=True, window=4
+        )
+        ops = [
+            e["args"]["value"]
+            for e in windowed["traceEvents"]
+            if e.get("ph") == "C" and e["name"] == "ops"
+        ]
+        assert ops == [float(v) for v in range(1, 11)]
+        assert windowed == ram

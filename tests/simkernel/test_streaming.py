@@ -1,11 +1,11 @@
-"""StreamingTrace: retention windows, spill segments, subscriber contract.
+"""Trace retention windows, spill segments, subscriber contract.
 
-The bounded-memory sink must be a drop-in for the in-RAM ``Trace`` at the
-subscriber and archival layers: every record reaches subscribers exactly
-once (before any eviction), and a fully-spilled JSONL file is
-byte-identical to an in-RAM dump of the same log sequence.  The query
-surface intentionally differs — it answers over the retained window only
-— and these tests pin that boundary too.
+A bounded ``Trace`` must behave like an unbounded one at the subscriber
+and archival layers: every record reaches subscribers exactly once
+(before any eviction), and a fully-spilled JSONL file is byte-identical
+to a dump of the same log sequence.  The queries need every record, so
+they refuse once the window has evicted one — and these tests pin that
+boundary too.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import tracemalloc
 
 import pytest
 
-from repro.simkernel import Environment, StreamingTrace, Trace
+from repro.simkernel import Environment, Trace
 from repro.obs.export import to_jsonl
 
 #: Categories used by the synthetic streams below (schema validity is
@@ -41,7 +41,7 @@ def _log_n(sink, n, with_time=False):
 
 class TestWindowRetention:
     def test_window_never_exceeds_high_water(self, env):
-        t = StreamingTrace(env, window=16)
+        t = Trace(env, window=16)
         for i in range(100):
             t.log("job.submit", {"i": i})
             assert t.retained <= 16
@@ -50,19 +50,19 @@ class TestWindowRetention:
         assert len(t) == 100  # __len__ is the all-time count
 
     def test_eviction_is_oldest_first_no_gap_no_dup(self, env):
-        t = StreamingTrace(env, window=8)
+        t = Trace(env, window=8)
         _log_n(t, 50)
-        kept = [r.data["i"] for r in t.records]
+        kept = [r.data["i"] for r in t.window]
         assert kept == list(range(42, 50))
 
     def test_drop_counting_without_spill(self, env):
-        t = StreamingTrace(env, window=10)
+        t = Trace(env, window=10)
         _log_n(t, 25)
         assert t.dropped == 15
         assert t.total == t.retained + t.dropped
 
     def test_counts_and_categories_survive_eviction(self, env):
-        t = StreamingTrace(env, window=2)
+        t = Trace(env, window=2)
         _log_n(t, 30)
         assert sum(t.counts().values()) == 30
         assert t.counts()["job.submit"] == 10
@@ -72,25 +72,27 @@ class TestWindowRetention:
         assert t.categories() == list(_CATS)
         assert t.categories("worker.") == ["worker.beat"]
 
-    def test_query_surface_is_window_only(self, env):
-        t = StreamingTrace(env, window=6)
-        _log_n(t, 30)
-        window = t.records
-        assert t.select("job.submit") == [
-            r for r in window if r.category == "job.submit"
-        ]
-        assert t.select("job.", prefix=True) == [
-            r for r in window if r.category.startswith("job.")
-        ]
-        assert t.select_any(["job.done", "worker.beat"]) == [
-            r for r in window if r.category in ("job.done", "worker.beat")
-        ]
-        assert t.times("worker.beat") == [
-            r.time for r in window if r.category == "worker.beat"
-        ]
+    def test_queries_refuse_after_eviction(self, env):
+        t = Trace(env, window=6)
+        _log_n(t, 6)
+        assert len(t.records) == 6  # nothing evicted yet: queries answer
+        _log_n(t, 24)
+        queries = (
+            lambda: t.records,
+            lambda: list(t),
+            lambda: t.select("job.submit"),
+            lambda: t.select("job.", prefix=True),
+            lambda: t.select_any(["job.done", "worker.beat"]),
+            lambda: t.times("worker.beat"),
+        )
+        for query in queries:
+            with pytest.raises(ValueError, match="retained 6 of 30 records"):
+                query()
+        # The all-time counts still cover every record.
+        assert sum(t.counts().values()) == len(t) == 30
 
     def test_select_any_preserves_log_order_across_categories(self, env):
-        t = StreamingTrace(env, window=64)
+        t = Trace(env, window=64)
         _log_n(t, 30, with_time=True)
         merged = t.select_any(["job.submit", "job.done"])
         assert [r.data["i"] for r in merged] == sorted(
@@ -99,19 +101,43 @@ class TestWindowRetention:
         assert merged == t.select("job.", prefix=True)
 
     def test_window_floor_is_one(self, env):
-        t = StreamingTrace(env, window=0)
+        t = Trace(env, window=0)
         _log_n(t, 5)
         assert t.high_water == 1
         assert t.retained == 1
-        assert t.records[0].data["i"] == 4
+        assert t.window[0].data["i"] == 4
+
+
+class TestUnbounded:
+    def test_index_extends_over_records_logged_after_a_query(self, env):
+        t = Trace(env)
+        _log_n(t, 6)
+        assert [r.data["i"] for r in t.select("job.done")] == [1, 4]
+        _log_n(t, 6)
+        assert [r.data["i"] for r in t.select("job.done")] == [1, 4, 1, 4]
+        assert len(t.times("job.", prefix=True)) == 8
+        assert t.categories() == list(_CATS)
+
+    def test_close_spills_and_keeps_the_records(self, env, tmp_path):
+        spill = tmp_path / "all.jsonl"
+        t = Trace(env, spill=str(spill), run=0, label="x", truncate=True)
+        _log_n(t, 10, with_time=True)
+        t.close(perf=t.perf())
+        dump = tmp_path / "dump.jsonl"
+        to_jsonl(t.records, str(dump), run=0, label="x", perf=t.perf())
+        assert spill.read_bytes() == dump.read_bytes()
+        assert t.spilled == len(t.records) == 10
+        t.log("worker.stop", {"worker": 1})  # after close: counted only
+        assert t.late == 1
+        assert len(t.records) == len(t) == 10
 
 
 class TestSpill:
     def _mirror(self, env, n, tmp_path, window=8, with_time=True):
-        """Drive an in-RAM Trace and a spilling StreamingTrace in lockstep."""
+        """Drive an unbounded Trace and a spilling bounded one in lockstep."""
         ram = Trace(env)
         spill = tmp_path / "stream.jsonl"
-        st = StreamingTrace(
+        st = Trace(
             env, window=window, spill=str(spill), run=0, truncate=True
         )
 
@@ -150,7 +176,7 @@ class TestSpill:
 
     def test_segments_flush_during_the_run(self, env, tmp_path):
         spill = tmp_path / "seg.jsonl"
-        st = StreamingTrace(
+        st = Trace(
             env, window=4, spill=str(spill), truncate=True, segment_records=8
         )
         _log_n(st, 40)
@@ -166,7 +192,7 @@ class TestSpill:
 
     def test_close_drains_window_and_is_idempotent(self, env, tmp_path):
         spill = tmp_path / "d.jsonl"
-        st = StreamingTrace(env, window=64, spill=str(spill), truncate=True)
+        st = Trace(env, window=64, spill=str(spill), truncate=True)
         _log_n(st, 10)
         assert st.retained == 10
         st.close(perf={"records": 10})
@@ -180,7 +206,7 @@ class TestSpill:
         self, env, tmp_path
     ):
         spill = tmp_path / "l.jsonl"
-        st = StreamingTrace(env, window=4, spill=str(spill), truncate=True)
+        st = Trace(env, window=4, spill=str(spill), truncate=True)
         _log_n(st, 6)
         st.close(perf=st.perf())
         st.log("worker.stop", {"worker": 1})
@@ -191,12 +217,12 @@ class TestSpill:
 
     def test_append_mode_stacks_runs_in_one_file(self, env, tmp_path):
         spill = tmp_path / "multi.jsonl"
-        first = StreamingTrace(
+        first = Trace(
             env, window=4, spill=str(spill), run=0, truncate=True
         )
         _log_n(first, 6)
         first.close(perf=first.perf())
-        second = StreamingTrace(
+        second = Trace(
             env, window=4, spill=str(spill), run=1, truncate=False
         )
         _log_n(second, 4)
@@ -206,7 +232,7 @@ class TestSpill:
 
     def test_label_lands_on_every_record_line(self, env, tmp_path):
         spill = tmp_path / "lbl.jsonl"
-        st = StreamingTrace(
+        st = Trace(
             env, window=2, spill=str(spill), run=0, label="fig06",
             truncate=True,
         )
@@ -218,14 +244,14 @@ class TestSpill:
 
 class TestSubscriberContract:
     def test_every_record_delivered_exactly_once_across_eviction(self, env):
-        t = StreamingTrace(env, window=4)
+        t = Trace(env, window=4)
         seen: list[int] = []
         t.subscribe(lambda rec: seen.append(rec.data["i"]))
         _log_n(t, 200)
         assert seen == list(range(200))
 
     def test_subscriber_sees_record_before_eviction(self, env):
-        t = StreamingTrace(env, window=1)
+        t = Trace(env, window=1)
         observed: list[bool] = []
         # With window=1 the record that triggers eviction is itself
         # retained; the *previous* record is evicted only after this
@@ -236,7 +262,7 @@ class TestSubscriberContract:
         assert all(observed)
 
     def test_unsubscribe_stops_delivery(self, env):
-        t = StreamingTrace(env, window=8)
+        t = Trace(env, window=8)
         seen: list[int] = []
         fn = t.subscribe(lambda rec: seen.append(rec.data["i"]))
         _log_n(t, 3)
@@ -245,7 +271,7 @@ class TestSubscriberContract:
         assert seen == [0, 1, 2]
 
     def test_in_ram_and_streaming_fan_out_identically(self, env):
-        ram, st = Trace(env), StreamingTrace(env, window=2)
+        ram, st = Trace(env), Trace(env, window=2)
         ram_seen: list[tuple] = []
         st_seen: list[tuple] = []
         ram.subscribe(lambda r: ram_seen.append((r.time, r.category, r.data)))
@@ -270,10 +296,10 @@ class TestBoundedMemory:
 
     def test_streaming_peak_is_flat_while_in_ram_grows(self):
         stream_small = self._alloc_peak(
-            lambda env: StreamingTrace(env, window=256), 20_000
+            lambda env: Trace(env, window=256), 20_000
         )
         stream_large = self._alloc_peak(
-            lambda env: StreamingTrace(env, window=256), 40_000
+            lambda env: Trace(env, window=256), 40_000
         )
         ram_large = self._alloc_peak(lambda env: Trace(env), 40_000)
         # Doubling the stream leaves the streaming peak essentially
