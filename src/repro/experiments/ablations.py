@@ -76,6 +76,8 @@ def run_staging(nodes: int = 32, jobs: int = 96, seed: int = 0) -> list[dict]:
                 "span_s": round(report.span, 1),
             }
         )
+        # Free this point's platform before the next one is built.
+        del report
     check(
         rows[0]["util"] >= rows[1]["util"]
         and rows[0]["mean_wireup_ms"] < rows[1]["mean_wireup_ms"],
@@ -119,6 +121,8 @@ def run_scheduling(nodes: int = 16, seed: int = 0) -> list[dict]:
                 "completed": report.jobs_completed,
             }
         )
+        # Free this point's platform before the next one is built.
+        del report
     fifo = next(r for r in rows if r["policy"] == "fifo")
     backfill = next(r for r in rows if r["policy"] == "backfill")
     check(
@@ -202,6 +206,10 @@ def run_grouping(nodes: int = 64, jobs: int = 48, seed: int = 0) -> list[dict]:
                 "jobs": dispatcher.jobs_finished,
             }
         )
+        # End the run as run_standalone does, so its parked loops let go
+        # of the platform, and free it before the next one is built.
+        platform.env.close()
+        del platform, dispatcher, driver
     check(
         rows[1]["mean_diameter"] < rows[0]["mean_diameter"],
         "topology-aware grouping yields tighter groups on the torus (A3)",
@@ -241,6 +249,10 @@ def run_spectrum(workers: int = 32, seed: int = 0) -> list[dict]:
                 "blocks": len(service.allocations),
             }
         )
+        # End the run as run_standalone does, so its parked loops let go
+        # of the platform, and free it before the next one is built.
+        platform.env.close()
+        del platform, batch, service
     check(
         rows[1]["t_first_worker"] < rows[0]["t_first_worker"],
         "the spectrum allocator gets first capacity sooner under "
@@ -285,6 +297,8 @@ def run_dispatcher_sensitivity(
                 "util": round(report.utilization, 3),
             }
         )
+        # Free this point's platform before the next one is built.
+        del report
     check(
         rows[-1]["util"] < rows[0]["util"] - 0.05,
         "inflating the submit-host launch cost degrades small-task "

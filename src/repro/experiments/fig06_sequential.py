@@ -69,6 +69,8 @@ def run(
                 "completed": report.jobs_completed,
             }
         )
+        # Free this point's platform before the next one is built.
+        del report
     return rows
 
 

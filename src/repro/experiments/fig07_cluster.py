@@ -59,6 +59,10 @@ def run(
             report = sim.run_standalone(
                 TaskList(_jobs(nproc, count, duration)), allocation_nodes=alloc
             )
+            jets_util = round(report.utilization, 3)
+            jobs = report.jobs_completed
+            # Free each run's platform before the next one is built.
+            del report
             # Shell-script mode runs far fewer jobs (it is serial anyway);
             # scale the batch down to keep harness runtime sane.
             shell = run_shellscript_batch(
@@ -71,11 +75,12 @@ def run(
                 {
                     "alloc": alloc,
                     "nproc": nproc,
-                    "jets_util": round(report.utilization, 3),
+                    "jets_util": jets_util,
                     "shell_util": round(shell.utilization, 3),
-                    "jobs": report.jobs_completed,
+                    "jobs": jobs,
                 }
             )
+            del shell
     return rows
 
 

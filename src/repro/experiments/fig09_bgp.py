@@ -69,6 +69,8 @@ def run(
                     "wireup_ms": round(report.mean_wireup * 1e3, 1),
                 }
             )
+            # Free this point's platform before the next one is built.
+            del report
     return rows
 
 

@@ -67,6 +67,9 @@ def run(
         if keep_platform:
             row["report"] = report
         rows.append(row)
+        # Unless the row keeps it, free this point's platform before the
+        # next one is built.
+        del report
     return rows
 
 

@@ -23,7 +23,6 @@ Semantics:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Generator, NamedTuple, Optional
 
 from ..simkernel import Environment, Event, Store, Timeout
@@ -79,6 +78,12 @@ _CLOSE = object()
 class Socket:
     """One end of an established connection."""
 
+    __slots__ = (
+        "_network", "local", "remote", "service", "conn_id", "role",
+        "_inbox", "_peer", "_closed", "_last_arrival", "_fabric",
+        "_sw_overhead", "_pending",
+    )
+
     def __init__(
         self,
         network: "Network",
@@ -107,8 +112,9 @@ class Socket:
         self._sw_overhead = network.fabric.spec.sw_overhead
         # In-flight items in send order; delivery callbacks pop the head,
         # so per-direction FIFO holds even when same-time deliveries are
-        # permuted by a non-default kernel SchedulingOrder.
-        self._pending: deque = deque()
+        # permuted by a non-default kernel SchedulingOrder.  A list, as
+        # the kernel's queues (simkernel/resources.py): it stays short.
+        self._pending: list = []
 
     @property
     def closed(self) -> bool:
@@ -165,7 +171,7 @@ class Socket:
     def _deliver_next(self, _event: Optional[Event] = None) -> None:
         # One callback per queued item: popping the head preserves send
         # order under any tie permutation of the delivery timeouts.
-        item = self._pending.popleft()
+        item = self._pending.pop(0)
         if self._closed:
             return
         if item is _CLOSE:

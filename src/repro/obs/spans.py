@@ -282,16 +282,30 @@ class RunSpans:
         return self.t_last - self.t_first
 
 
-def _job_span(run: RunSpans, job_id: str) -> JobSpan:
-    span = run.jobs.get(job_id)
+def _job_span(run: RunSpans, job_id: Any) -> Optional[JobSpan]:
+    """The span of ``job_id``, made on first sight; ``None`` for a
+    missing id or one that cannot key a span (an id read from a file
+    may be any JSON value), so its record is skipped."""
+    if job_id is None:
+        return None
+    try:
+        span = run.jobs.get(job_id)
+    except TypeError:
+        return None
     if span is None:
         span = JobSpan(job_id)
         run.jobs[job_id] = span
     return span
 
 
-def _worker_span(run: RunSpans, worker_id: int) -> WorkerSpan:
-    span = run.workers.get(worker_id)
+def _worker_span(run: RunSpans, worker_id: Any) -> Optional[WorkerSpan]:
+    """As :func:`_job_span`, for a worker id."""
+    if worker_id is None:
+        return None
+    try:
+        span = run.workers.get(worker_id)
+    except TypeError:
+        return None
     if span is None:
         span = WorkerSpan(worker_id)
         run.workers[worker_id] = span
@@ -318,7 +332,11 @@ class SpanBuilder:
         if run.t_first is None:
             run.t_first = rec.time
         run.t_last = rec.time
-        cat, data = rec.category, rec.data or {}
+        cat = rec.category
+        # A payload read from a file may be any JSON value; one that is
+        # not an object folds as empty, so a lifecycle record with it is
+        # skipped like one with no id.
+        data = rec.data if isinstance(rec.data, dict) else {}
         if cat.startswith("job."):
             _apply_job(run, rec.time, cat[4:], data)
         elif cat.startswith("worker."):
@@ -327,7 +345,6 @@ class SpanBuilder:
             _apply_proxy(run, rec.time, cat[6:], data)
         elif cat.startswith("counter."):
             # The mirror record of a traced Counter (its Perfetto track).
-            data = rec.data if isinstance(rec.data, dict) else {}
             name = data.get("counter") or cat[8:]
             run.counters.setdefault(name, []).append(
                 (rec.time, float(data.get("value", 0.0)))
@@ -362,10 +379,9 @@ def build_spans(source: Iterable[TraceRecord]) -> RunSpans:
 
 
 def _apply_job(run: RunSpans, t: float, state: str, data: dict) -> None:
-    job_id = data.get("job")
-    if job_id is None:
+    span = _job_span(run, data.get("job"))
+    if span is None:
         return
-    span = _job_span(run, job_id)
     if state == "submitted":
         span.t_submitted = t
         span.mpi = data.get("mpi", span.mpi)
@@ -417,7 +433,10 @@ def _apply_resume(run: RunSpans, t: float, state: str, data: dict) -> None:
     elif state == "skip":
         job_id = data.get("job")
         if job_id is not None:
-            run.resume_skipped[job_id] = str(data.get("outcome", ""))
+            try:
+                run.resume_skipped[job_id] = str(data.get("outcome", ""))
+            except TypeError:
+                pass  # an id that cannot key the map, as in _job_span
     elif state == "resubmit":
         job_id = data.get("job")
         if job_id is not None:
@@ -425,10 +444,9 @@ def _apply_resume(run: RunSpans, t: float, state: str, data: dict) -> None:
 
 
 def _apply_worker(run: RunSpans, t: float, state: str, data: dict) -> None:
-    worker_id = data.get("worker")
-    if worker_id is None:
+    span = _worker_span(run, data.get("worker"))
+    if span is None:
         return
-    span = _worker_span(run, worker_id)
     if state == "start":
         span.t_start = t
         span.node = data.get("node", span.node)
@@ -449,9 +467,12 @@ def _apply_worker(run: RunSpans, t: float, state: str, data: dict) -> None:
 def _apply_proxy(run: RunSpans, t: float, state: str, data: dict) -> None:
     job_id = data.get("job")
     proxy_id = data.get("proxy")
-    if job_id is None or proxy_id is None:
+    if proxy_id is None:
         return
-    attempt = _job_span(run, job_id).open_attempt()
+    span = _job_span(run, job_id)
+    if span is None:
+        return
+    attempt = span.open_attempt()
     proxy: Optional[ProxySpan] = None
     for p in attempt.proxies:
         if p.proxy_id == proxy_id:

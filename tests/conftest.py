@@ -13,6 +13,26 @@ def env() -> Environment:
     return Environment()
 
 
+def bytes_per_instance(make, count: int = 200) -> float:
+    """Mean heap bytes ``tracemalloc`` charges each of ``count`` objects
+    built by ``make(i)`` and kept alive together."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [make(i) for i in range(count)]
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    del kept
+    return (after - before) / count
+
+
 def run_gen(env: Environment, gen):
     """Run a generator as a process to completion; return its value."""
     proc = env.process(gen)

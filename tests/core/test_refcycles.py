@@ -5,16 +5,27 @@ the cycle collector, whose passes then scale with the job count (see
 DESIGN.md §11).  With the collector disabled, everything a run leaves
 for ``gc.collect()`` must be a fixed teardown cost, independent of how
 many jobs ran.  A finished run frees itself: ``Environment.close()``
-ends it, so nothing of its platform outlives the report.
+ends it, so nothing of its platform outlives the report, and a sweep
+drops each point's report before it builds the next platform.
 """
 
 import gc
 import weakref
 
+import pytest
+
 from repro.apps.synthetic import SleepProgram
 from repro.cluster.machine import generic_cluster
+from repro.cluster.platform import Platform
 from repro.core.jets import Simulation
 from repro.core.tasklist import JobSpec, TaskList
+from repro.experiments import (
+    ablations,
+    fig06_sequential,
+    fig07_cluster,
+    fig09_bgp,
+    fig12_namd_util,
+)
 
 
 def collector_off(run) -> int:
@@ -41,8 +52,6 @@ def serial_batch(jobs: int):
 
 
 def mpi_batch(tasks_per_node: int) -> None:
-    from repro.experiments import fig09_bgp
-
     fig09_bgp.run(
         alloc_sizes=(16,),
         task_sizes=(4,),
@@ -101,3 +110,46 @@ def test_chaos_garbage_does_not_grow_with_plan_count():
     large = collector_off(lambda: chaos_plans(6))
     # A platform left per plan would add thousands of objects here.
     assert large - small < 50, (small, large)
+
+
+#: Every sweep driver, at sizes small enough for a unit test.
+SWEEPS = {
+    "fig06": lambda: fig06_sequential.run(node_sizes=(4, 8), tasks_per_node=1),
+    "fig07": lambda: fig07_cluster.run(alloc_sizes=(8,), jobs_per_node=2),
+    "fig09": lambda: fig09_bgp.run(
+        alloc_sizes=(16,), task_sizes=(4, 8), duration=1.0, tasks_per_node=1
+    ),
+    "fig12": lambda: fig12_namd_util.run(
+        alloc_sizes=(8, 16), executions_per_node=1
+    ),
+    "A1": lambda: ablations.run_staging(nodes=8, jobs=16),
+    "A2": lambda: ablations.run_scheduling(nodes=8),
+    "A3": lambda: ablations.run_grouping(nodes=27, jobs=12),
+    "A4": lambda: ablations.run_spectrum(workers=8),
+    "A5": lambda: ablations.run_dispatcher_sensitivity(
+        nodes=32, spawn_factors=(1.0, 16.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_sweep_holds_one_platform_at_a_time(name, monkeypatch):
+    """Each sweep point frees its platform before the next is built."""
+    built: list[weakref.ref] = []
+    alive_at_build: list[int] = []
+    init = Platform.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        alive_at_build.append(sum(1 for ref in built if ref() is not None))
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(Platform, "__init__", tracked_init)
+    gc.collect()
+    gc.disable()
+    try:
+        SWEEPS[name]()
+    finally:
+        gc.enable()
+    assert len(built) >= 2
+    assert alive_at_build == [0] * len(built)

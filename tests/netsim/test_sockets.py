@@ -3,8 +3,9 @@
 import pytest
 
 from repro.netsim.fabric import ETHERNET, Fabric
-from repro.netsim.sockets import ConnectionClosed, Network
+from repro.netsim.sockets import ConnectionClosed, Network, Socket
 from repro.simkernel import Environment
+from tests.conftest import bytes_per_instance
 
 
 def make_net():
@@ -96,6 +97,49 @@ class TestMessaging:
         env.process(client())
         env.run()
         assert received == ["big", "small"]
+
+    def test_in_flight_messages_arrive_in_send_order_then_close(self):
+        env, net = make_net()
+        received = []
+
+        def server():
+            lis = net.listen(1, "svc")
+            sock = yield lis.accept()
+            while True:
+                try:
+                    msg = yield sock.recv()
+                except ConnectionClosed:
+                    received.append("closed")
+                    return
+                received.append(msg.payload)
+
+        def client():
+            sock = yield from net.connect(0, 1, "svc")
+            for i in range(5):
+                sock.send(i, 64 << i)
+            sock.close()
+            yield env.timeout(0)
+
+        env.process(server())
+        env.process(client())
+        env.run()
+        assert received == [0, 1, 2, 3, 4, "closed"]
+
+    def test_connected_pair_costs_at_most_3_kb(self):
+        # Slots and list-backed queues: 966 B on CPython 3.11, against
+        # 6,700 B with deques and instance dicts; the bound leaves room
+        # for 3.10's larger instance dicts.
+        env, net = make_net()
+
+        def connected_pair(conn_id):
+            # As Network.connect builds them.
+            client = Socket(net, 0, 1, "svc", conn_id, "client")
+            server = Socket(net, 1, 0, "svc", conn_id, "server")
+            client._peer = server
+            server._peer = client
+            return client
+
+        assert bytes_per_instance(connected_pair) <= 3_000
 
     def test_bigger_messages_take_longer(self):
         env, net = make_net()

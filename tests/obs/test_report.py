@@ -138,6 +138,39 @@ class TestCliObservability:
         assert code == 1
         assert "no trace records" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"t": 0.0, "cat": "job.submitted", "data": 5},
+            {
+                "t": 0.0,
+                "cat": "job.submitted",
+                "data": {"job": [1], "mpi": False, "nodes": 1, "ppn": 1},
+            },
+            {"t": 0.0, "cat": "worker.start", "data": {"worker": {"a": 1}}},
+        ],
+        ids=["data-not-object", "list-job-id", "object-worker-id"],
+    )
+    def test_report_skips_malformed_lifecycle_record(
+        self, record, tmp_path, capsys
+    ):
+        from repro.analysis.cli import lint_trace_main
+        from repro.obs.spans import SpanBuilder
+        from repro.simkernel import Environment, Trace
+
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        assert main(["report", str(bad)]) == 0
+        assert "jobs: 0 submitted" in capsys.readouterr().out
+        assert lint_trace_main([str(bad)]) == 1
+        assert "TV005" in capsys.readouterr().out
+        # A live session's fold skips the record too.
+        trace = Trace(Environment())
+        builder = SpanBuilder()
+        trace.subscribe(builder.fold)
+        trace.log(record["cat"], record["data"])
+        assert not builder.run.jobs and not builder.run.workers
+
 
 class TestFaultBreakdowns:
     def _faulty_trace(self):
