@@ -271,18 +271,20 @@ def lint_trace_main(argv: Optional[Sequence[str]] = None) -> int:
     never materialized as a list.
     """
     args = build_lint_trace_parser().parse_args(argv)
-    from ..obs.export import iter_jsonl
+    from ..obs.export import iter_jsonl, note_unread
 
     validators: dict[int, TraceValidator] = {}
     try:
-        for run_id, rec in iter_jsonl(args.tracefile, run=args.run):
-            validator = validators.get(run_id)
-            if validator is None:
-                validator = validators[run_id] = TraceValidator(
-                    check_schema=not args.no_schema,
-                    check_lifecycle=not args.no_lifecycle,
-                )
-            validator.feed(rec)
+        with open(args.tracefile, "rb") as fh:
+            for run_id, rec in iter_jsonl(fh, run=args.run):
+                validator = validators.get(run_id)
+                if validator is None:
+                    validator = validators[run_id] = TraceValidator(
+                        check_schema=not args.no_schema,
+                        check_lifecycle=not args.no_lifecycle,
+                    )
+                validator.feed(rec)
+            tail = fh.read()
     except OSError as exc:
         print(f"jets lint-trace: cannot read {args.tracefile}: {exc}",
               file=sys.stderr)
@@ -290,6 +292,7 @@ def lint_trace_main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"jets lint-trace: bad trace file: {exc}", file=sys.stderr)
         return 2
+    note_unread("jets lint-trace", args.tracefile, tail)
     if not validators:
         if args.run is not None:
             print(f"jets lint-trace: no run {args.run} in {args.tracefile}",

@@ -1,12 +1,13 @@
 """Central trace schema registry: every legal trace category, declared.
 
 Every reported metric in this reproduction is derived from trace records
-(paper Section 6.1.5), so a typo'd category or a missing payload key
-silently drops data from spans, timelines and Eq. (1) utilization.  This
-registry declares the full category vocabulary and the payload keys each
-category must / may carry; the static pass (:mod:`.trace_rules`) checks
-``trace.log(...)`` call sites against it and the runtime validator
-(:mod:`.tracecheck`) checks recorded runs.
+(paper Section 6.1.5), so a typo'd category, a missing payload key or a
+value of the wrong kind silently drops data from spans, timelines and
+Eq. (1) utilization.  This registry declares the full category
+vocabulary, the payload keys each category must / may carry and the kind
+of value each holds; the static pass (:mod:`.trace_rules`) checks
+``trace.log(...)`` call sites against it, and :func:`record_problems` is
+the one judge of a recorded record.
 
 Lifecycle categories (``job.*``, ``worker.*``, ``proxy.*``) are *derived*
 from the state machines in :mod:`.lifecycle` so the two views cannot
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Optional
+from typing import Any, Mapping, NamedTuple, Optional
 
 from .lifecycle import JOB_MACHINE, PROXY_MACHINE, WORKER_MACHINE
 
@@ -31,7 +32,7 @@ __all__ = [
     "PREFIX_FAMILIES",
     "lookup",
     "known_category",
-    "payload_problems",
+    "record_problems",
     # category constants (the ones components log directly)
     "RUN_ALLOCATION",
     "ALLOCATION_START",
@@ -78,6 +79,55 @@ __all__ = [
 ]
 
 
+class Kind(NamedTuple):
+    """What a payload value may be: one of ``types`` exactly (so a bool
+    is not an int); a map kind's every value is one of ``values``."""
+
+    name: str
+    types: frozenset
+    values: frozenset = frozenset()
+
+    def admits(self, value: Any) -> bool:
+        if type(value) not in self.types:
+            return False
+        return not self.values or all(
+            type(item) in self.values for item in value.values()
+        )
+
+
+ID = Kind("an id (int or str)", frozenset({int, str}))
+INT = Kind("an int", frozenset({int}))
+NUMBER = Kind("a number", frozenset({int, float}))
+STR = Kind("a str", frozenset({str}))
+STR_OR_NULL = Kind("a str or null", frozenset({str, type(None)}))
+LIST = Kind("a list", frozenset({list}))
+INT_MAP = Kind("an object of ints", frozenset({dict}), INT.types)
+NUMBER_MAP = Kind("an object of numbers", frozenset({dict}), NUMBER.types)
+
+#: The kind of every payload key, by name; :data:`_CATEGORY_KINDS` holds
+#: the few keys whose kind depends on the category.
+_KINDS: dict[str, Kind] = {
+    key: kind
+    for kind, keys in (
+        (ID, "job worker proxy"),
+        (INT, "attempt attempts completed cores_per_node events failed "
+              "failures jobs max_attempts node nodes outstanding ppn "
+              "priority records seed segment size slots status"),
+        (NUMBER, "at crash_time delay duration duration_hint factor "
+                 "last_seen nominal probability until value walltime"),
+        # A job that fails before its application ran has no phase stamps.
+        (Kind("a number or null", frozenset({int, float, type(None)})),
+         "app_end app_start"),
+        (STR, "cause channel command counter detail error grouping journal "
+              "kind machine outcome phase policy reason"),
+        (Kind("a bool", frozenset({bool})),
+         "mpi ok resume serial spectrum stage"),
+        (LIST, "blocks node_ids workers"),
+    )
+    for key in keys.split()
+}
+
+
 @dataclass(frozen=True)
 class CategorySpec:
     """Declared schema of one trace category."""
@@ -86,44 +136,80 @@ class CategorySpec:
     required: frozenset[str] = field(default_factory=frozenset)
     optional: frozenset[str] = field(default_factory=frozenset)
     description: str = ""
+    #: Declared key -> the kind of value it holds.
+    kinds: Mapping[str, Kind] = field(default_factory=dict, compare=False)
+    #: Keys a lifecycle replay keys on, entity id first; empty for a
+    #: category that moves no lifecycle.
+    ids: tuple[str, ...] = ()
 
     @cached_property
     def keys(self) -> frozenset[str]:
         """Every declared key (required or optional), built once."""
         return self.required | self.optional
 
-    def payload_problems(self, data: Any) -> list[str]:
-        """Human-readable schema violations of one payload dict."""
+    @cached_property
+    def _types(self) -> dict[str, frozenset]:
+        """The pass path's kinds; a map never passes there."""
+        return {k: kind.types - {dict} for k, kind in self.kinds.items()}
+
+    def problems(self, data: Any) -> list[tuple[str, str]]:
+        """``(code, message)`` for every way ``data`` breaks this spec:
+        TV002 when the payload is not an object or a key is missing,
+        unknown or of the wrong kind, then TV005 when a lifecycle id the
+        replay keys on is missing (the entity id) or is not an id."""
         # Pass path: an exact dict carrying every required key and only
-        # declared ones.  Anything else (None, dict subclasses, non-str
-        # or unknown keys) falls through to the message builder below.
+        # declared ones, each of its kind.  Anything else (None, dict
+        # subclasses, non-str or unknown keys) falls through to the
+        # message builder below.
         if type(data) is dict:
             keys = data.keys()
             if keys >= self.required and keys <= self.keys:
-                return []
+                types = self._types
+                for key, value in data.items():
+                    if type(value) not in types[key]:
+                        break
+                else:
+                    return []
         if not self.required and data is None:
             return []
-        if not isinstance(data, dict):
-            return [f"payload must be a dict, got {type(data).__name__}"]
-        problems = [
-            f"missing required key {key!r}"
-            for key in sorted(self.required)
-            if key not in data
+        if isinstance(data, dict):
+            found = [f"missing required key {k!r}"
+                     for k in sorted(self.required - data.keys())]
+            found += [f"unknown key {k!r}" for k in sorted(
+                k for k in data if isinstance(k, str) and k not in self.keys
+            )]
+            found += [f"{k!r} must be {self.kinds[k].name}, got {data[k]!r}"
+                      for k in sorted(self.keys & data.keys())
+                      if not self.kinds[k].admits(data[k])]
+        else:
+            found = [f"payload must be a dict, got {type(data).__name__}"]
+            data = {}
+        problems = [("TV002", message) for message in found]
+        if self.ids and self.ids[0] not in data:
+            problems.append(
+                ("TV005", f"lifecycle record lacks its {self.ids[0]!r} id key")
+            )
+        problems += [
+            ("TV005", f"lifecycle id {k!r} is not an id: {data[k]!r}")
+            for k in self.ids if k in data and not ID.admits(data[k])
         ]
-        problems.extend(
-            f"unknown key {key!r}"
-            for key in sorted(k for k in data if isinstance(k, str))
-            if key not in self.keys
-        )
         return problems
 
 
-def _spec(name: str, required=(), optional=(), description: str = "") -> CategorySpec:
+def _spec(
+    name: str, required=(), optional=(), description: str = "", ids=()
+) -> CategorySpec:
+    kinds = _CATEGORY_KINDS.get(name, {})
     return CategorySpec(
         name=name,
         required=frozenset(required),
         optional=frozenset(optional),
         description=description,
+        kinds={
+            key: kinds.get(key) or _KINDS[key]
+            for key in (*required, *optional)
+        },
+        ids=tuple(ids),
     )
 
 
@@ -175,6 +261,19 @@ OBS_PROGRESS = "obs.progress"
 #: sanctioned dynamic-category funnel, validated at Counter.connect time.
 COUNTER_PREFIX = "counter."
 
+#: The keys whose kind depends on the category.
+_CATEGORY_KINDS: dict[str, dict[str, Kind]] = {
+    # An MPI dispatch names its attempt by id ("<job>a<n>").
+    "job.dispatch": {"attempt": STR},
+    FAULT_PARTITION: {"nodes": LIST},
+    FAULT_HEAL: {"nodes": LIST},
+    # A network window with no channel covers every channel.
+    FAULT_NET_DROP: {"channel": STR_OR_NULL},
+    FAULT_NET_DELAY: {"channel": STR_OR_NULL},
+    # ``jets top`` formats the heartbeat's tallies and gauge levels.
+    OBS_PROGRESS: {"jobs": INT_MAP, "counts": INT_MAP, "gauges": NUMBER_MAP},
+}
+
 # -- lifecycle-derived payload schemas ----------------------------------------
 
 #: Extra payload keys individual lifecycle events carry beyond the
@@ -217,6 +316,13 @@ _PROXY_EVENT_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "exited": (("job", "status"), ()),
 }
 
+#: Keys a lifecycle replay keys on, per entity: the entity id, then the
+#: worker a job record names (zombie filtering) and the job a proxy
+#: belongs to (proxy ids are scoped per job).
+_REPLAY_KEYS = {
+    "job": ("job", "worker"), "worker": ("worker",), "proxy": ("proxy", "job")
+}
+
 
 def _lifecycle_specs() -> list[CategorySpec]:
     specs: list[CategorySpec] = []
@@ -236,6 +342,11 @@ def _lifecycle_specs() -> list[CategorySpec]:
                     description=(
                         f"{machine.entity} lifecycle event "
                         f"({machine.events.get(event, 'no state change')})"
+                    ),
+                    ids=(
+                        _REPLAY_KEYS[machine.entity]
+                        if event in machine.events
+                        else ()
                     ),
                 )
             )
@@ -512,9 +623,11 @@ def known_category(category: str) -> bool:
     return lookup(category) is not None
 
 
-def payload_problems(category: str, data: Any) -> list[str]:
-    """Schema violations of one record; unknown categories yield one."""
+def record_problems(category: str, data: Any) -> list[tuple[str, str]]:
+    """The record contract's one judge: ``(code, message)`` for every way
+    one record breaks its category's schema (TV001 for an unknown
+    category, else :meth:`CategorySpec.problems`); empty passes it."""
     spec = lookup(category)
     if spec is None:
-        return [f"unknown trace category {category!r}"]
-    return spec.payload_problems(data)
+        return [("TV001", f"unknown trace category {category!r}")]
+    return spec.problems(data)

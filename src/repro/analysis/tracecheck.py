@@ -10,7 +10,8 @@ replayed through the state machines in :mod:`.lifecycle`.  Used by
 Validation codes:
 
 * **TV001** — unknown trace category.
-* **TV002** — payload schema violation (missing/unknown key, not a dict).
+* **TV002** — payload schema violation (missing/unknown key, a value of
+  the wrong kind, not a dict).
 * **TV003** — non-monotonic record timestamps.
 * **TV004** — illegal lifecycle transition for a job/worker/proxy.  A
   job record attributed to a worker after that worker's ``worker.lost``
@@ -18,17 +19,21 @@ Validation codes:
   attempt), not from the job's lifecycle, and is not replayed until the
   worker registers again.
 * **TV005** — lifecycle record without a usable entity id (missing, or
-  a value such as a list that cannot key the replay).
+  a value such as a list that is not an id); it is not replayed.
+
+TV001, TV002 and TV005 come from the one record judge,
+:func:`repro.analysis.schema.record_problems`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional
 
 from ..simkernel import TraceRecord
 from .lifecycle import MACHINES, StateMachine
-from .schema import lookup
+from .schema import lookup, record_problems
 
 __all__ = [
     "TraceIssue",
@@ -87,18 +92,6 @@ class _Replay:
         )
 
 
-def _entity_id(machine: StateMachine, data) -> object:
-    """The replay key for one record (proxies are scoped per job)."""
-    if not isinstance(data, dict):
-        return None
-    ident = data.get(machine.id_key)
-    if ident is None:
-        return None
-    if machine.entity == "proxy":
-        return (data.get("job"), ident)
-    return ident
-
-
 class TraceValidator:
     """Incremental trace validation: feed records as they stream.
 
@@ -109,7 +102,7 @@ class TraceValidator:
     entity count, never by record count — so a trace with a retention
     window gets the exact verdicts a post-hoc full scan would produce.
 
-    Everything that depends only on the category (its spec, its
+    Everything that depends only on the category (its judge, its
     lifecycle machine, event and target state) is routed once, the
     first time the category is seen; issue text is built only for a
     record that fails a check.
@@ -120,8 +113,8 @@ class TraceValidator:
         self.check_lifecycle = check_lifecycle
         self.issues: list[TraceIssue] = []
         self._replays = {prefix: _Replay(m) for prefix, m in MACHINES.items()}
-        #: category -> (spec, replay, event, state); replay is None for a
-        #: category that moves no lifecycle.
+        #: category -> (judge, replay, event, state); replay is None
+        #: for a category that moves no lifecycle.
         self._routes: dict[str, tuple] = {}
         #: Workers declared lost and not registered since.
         self._zombies: set[object] = set()
@@ -134,8 +127,11 @@ class TraceValidator:
         return self._index
 
     def _route(self, cat: str) -> tuple:
-        """The category's spec and lifecycle replay (computed once)."""
+        """The category's judge and lifecycle replay (computed once)."""
         spec = lookup(cat)
+        judge = spec.problems if spec is not None else partial(
+            record_problems, cat
+        )
         if "." in cat:
             prefix, event = cat.split(".", 1)
             replay = self._replays.get(prefix)
@@ -143,10 +139,10 @@ class TraceValidator:
                 machine = replay.machine
                 state = machine.state_for_event(event)
                 # Ignored events move no state; an unknown event is
-                # reported as TV001 by the schema check.
+                # reported as TV001 by the judge.
                 if event not in machine.ignored_events and state is not None:
-                    return spec, replay, event, state
-        return spec, None, None, None
+                    return judge, replay, event, state
+        return judge, None, None, None
 
     def feed(self, rec: TraceRecord) -> None:
         """Validate one record (subscriber entry point)."""
@@ -166,47 +162,33 @@ class TraceValidator:
         route = self._routes.get(cat)
         if route is None:
             route = self._routes[cat] = self._route(cat)
-        spec, replay, event, state = route
+        judge, replay, event, state = route
         data = rec.data
 
-        if self.check_schema:
-            if spec is None:
-                self._issue(
-                    index, rec, "TV001", f"unknown trace category {cat!r}"
-                )
-            else:
-                for problem in spec.payload_problems(data):
-                    self._issue(index, rec, "TV002", problem)
-
+        problems = judge(data)
+        for code, message in problems:
+            if code == "TV005" and self.check_lifecycle or (
+                code != "TV005" and self.check_schema
+            ):
+                self._issue(index, rec, code, message)
         if replay is None or not self.check_lifecycle:
             return
-        machine = replay.machine
-        entity = _entity_id(machine, data)
-        if entity is None:
-            self._issue(
-                index, rec, "TV005",
-                f"lifecycle record lacks its {machine.id_key!r} id key",
-            )
+        if problems and problems[-1][0] == "TV005":
+            return  # a TV005 record is not replayed (the judge lists it last)
+        prefix = replay.machine.entity
+        # The judge passed the ids, so they are present and hashable;
+        # proxy ids are scoped per job.
+        entity = data[replay.machine.id_key]
+        if prefix == "proxy":
+            entity = (data.get("job"), entity)
+        if prefix == "worker":
+            if event == "lost":
+                self._zombies.add(entity)
+            elif event == "registered":
+                self._zombies.discard(entity)
+        elif prefix == "job" and data.get("worker") in self._zombies:
             return
-        prefix = machine.entity
-        try:
-            if prefix == "worker":
-                if event == "lost":
-                    self._zombies.add(entity)
-                elif event == "registered":
-                    self._zombies.discard(entity)
-            elif prefix == "job" and data.get("worker") in self._zombies:
-                return
-            problem = replay.apply(entity, state)
-        except TypeError:
-            # An id read from a file may be any JSON value; one that
-            # cannot key the replay (a list, an object) is reported.
-            self._issue(
-                index, rec, "TV005",
-                f"lifecycle record has an id that cannot key a replay: "
-                f"{data!r}",
-            )
-            return
+        problem = replay.apply(entity, state)
         if problem is not None:
             self._issue(index, rec, "TV004", problem)
 

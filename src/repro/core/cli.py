@@ -203,7 +203,8 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
 
     The dump is folded one record at a time (span builder + perf
     trailer collection), so reports over spilled million-record traces
-    reconstruct in flat memory.  ``--follow`` instead tails a growing
+    reconstruct in flat memory.  Records the record judge rejects are
+    skipped and counted on stderr.  ``--follow`` instead tails a growing
     dump live.
     """
     args = build_report_parser().parse_args(argv)
@@ -213,27 +214,32 @@ def report_main(argv: Optional[Sequence[str]] = None) -> int:
         return follow(
             args.tracefile, poll=args.poll, idle_timeout=args.idle_timeout
         )
-    from ..obs.export import iter_jsonl
+    from ..analysis.schema import record_problems
+    from ..obs.export import iter_jsonl, note_unread
     from ..obs.report import render_report
     from ..obs.spans import SpanBuilder
 
     builders: dict[int, SpanBuilder] = {}
     perf: dict[int, dict] = {}
+    skipped = 0
     try:
-        for run_id, rec in iter_jsonl(
-            args.tracefile,
-            on_perf=lambda run_id, p: perf.__setitem__(run_id, p),
-        ):
-            builder = builders.get(run_id)
-            if builder is None:
-                builder = builders[run_id] = SpanBuilder()
-            builder.fold(rec)
+        with open(args.tracefile, "rb") as fh:
+            for run_id, rec in iter_jsonl(fh, on_perf=perf.__setitem__):
+                builder = builders.get(run_id)
+                if builder is None:
+                    builder = builders[run_id] = SpanBuilder()
+                if record_problems(rec.category, rec.data):
+                    skipped += 1
+                else:
+                    builder.fold(rec)
+            tail = fh.read()
     except OSError as exc:
         print(f"jets: cannot read {args.tracefile}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"jets: bad trace file: {exc}", file=sys.stderr)
         return 2
+    note_unread("jets", args.tracefile, tail, skipped)
     if not builders:
         print(f"jets: {args.tracefile} holds no trace records", file=sys.stderr)
         return 1

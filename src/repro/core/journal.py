@@ -25,6 +25,9 @@ Durability model (classic WAL):
 * :meth:`RunJournal.abandon` models dispatcher death: the in-RAM tail
   is dropped, nothing more reaches the file.  The chaos engine's
   ``dispatcher_crash`` fault uses it to cut journals at seeded points.
+* ``append=True`` writes after whatever the file holds; a resume first
+  cuts a torn tail off (:func:`.resume.resume_run`), so each segment
+  starts on a line of its own.
 """
 
 from __future__ import annotations
@@ -38,38 +41,6 @@ __all__ = ["RunJournal"]
 
 #: Durability syscall: fdatasync on platforms that have it, fsync elsewhere.
 _fdatasync = getattr(os, "fdatasync", os.fsync)
-
-
-def _truncate_torn_tail(path: str) -> None:
-    """Trim a partial final line (no trailing newline) off ``path``.
-
-    Scans backwards in blocks for the last newline so an arbitrarily
-    long torn fragment is handled; a file with no newline at all is
-    truncated to empty.  Missing files are left to the caller's open.
-    """
-    try:
-        fh = open(path, "rb+")
-    except FileNotFoundError:
-        return
-    with fh:
-        fh.seek(0, os.SEEK_END)
-        size = fh.tell()
-        if size == 0:
-            return
-        block = 1 << 16
-        end = size
-        while end > 0:
-            start = max(0, end - block)
-            fh.seek(start)
-            chunk = fh.read(end - start)
-            if end == size and chunk.endswith(b"\n"):
-                return  # already ends on a record boundary
-            nl = chunk.rfind(b"\n")
-            if nl != -1:
-                fh.truncate(start + nl + 1)
-                return
-            end = start
-        fh.truncate(0)
 
 
 #: Records buffered between fsync batches.  Large enough that journal
@@ -101,13 +72,6 @@ class RunJournal:
         self.batch_records = max(1, int(batch_records))
         self._env = env
         self._buf: list[str] = []
-        if append:
-            # A crash can leave a torn final line; appending after it
-            # would weld the new segment's first record onto the
-            # fragment and corrupt the journal *interior* (fatal on the
-            # next replay).  Physically drop the tail first so the file
-            # always ends on a record boundary.
-            _truncate_torn_tail(path)
         self._fh = open(path, "a" if append else "w", encoding="utf-8")
         self._encode = record_encoder(segment)
         self.records = 0

@@ -3,11 +3,12 @@
 ``jets resume RUN.journal`` rebuilds dispatcher + tasklist state from
 the journal a dead dispatcher left behind (:mod:`.journal`):
 
-1. :func:`read_journal` loads the records with a *torn-tail-tolerant*
-   reader — a crash mid-``write`` leaves a truncated final line, and a
-   strict prefix of a JSON object never parses, so the tail is detected
-   and discarded (never fatal).  Corruption *before* the tail is fatal:
-   silently skipping interior records would fabricate accounting.
+1. :func:`read_journal` loads the records through the one JSONL reader
+   (:func:`repro.obs.export.iter_jsonl`): a crash mid-``write`` leaves
+   a final line without its newline, which is discarded and counted
+   (never fatal).  Any other unparsable line, and any record the record
+   judge rejects, is fatal: skipping a record would fabricate
+   accounting, losing a job or running it twice.
 2. :func:`replay` folds the records into a :class:`JournalLedger` —
    per-job status (pending / launched / done / failed) and attempt
    counters, keyed by ``JobSpec.job_id``.  Replay is idempotent: records
@@ -32,7 +33,6 @@ resubmissions.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -106,6 +106,9 @@ class JournalLedger:
     records: int = 0
     #: Torn-tail lines discarded by the reader.
     dropped_tail: int = 0
+    #: Byte offset just past the last whole line: the next segment is
+    #: appended here, cutting off the torn tail the replay never saw.
+    end: int = 0
     workers_registered: int = 0
     workers_lost: int = 0
 
@@ -117,47 +120,38 @@ class JournalLedger:
         return [j for j in self.jobs.values() if j.settled]
 
 
-def read_journal(path: str) -> tuple[list[tuple[int, TraceRecord]], int]:
-    """Load ``(segment, record)`` pairs, tolerating a torn final record.
+def read_journal(path: str) -> tuple[list[tuple[int, TraceRecord]], int, int]:
+    """Load ``(segment, record)`` pairs, the torn-tail line count (0 or
+    1) and the byte offset where the last whole line ends.
 
-    A dispatcher crash can truncate the journal mid-line; any strict
-    prefix of a serialized record fails to parse, so an unparsable
-    *final* line is discarded (returned as the dropped count).  An
-    unparsable line with data after it means interior corruption and
-    raises :class:`JournalError`.
+    A dispatcher crash can cut the journal's final write short: bytes
+    after the last newline are that unfinished record, and are dropped.
+    A line that breaks the line contract, or a record the record judge
+    (:func:`repro.analysis.schema.record_problems`) rejects, raises
+    :class:`JournalError` naming the file and the line.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    lines = raw.split(b"\n")
+    from ..analysis.schema import record_problems
+    from ..obs.export import iter_jsonl, line_error
+
     entries: list[tuple[int, TraceRecord]] = []
-    dropped = 0
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
+    problems = None
+    with open(path, "rb") as fh:
         try:
-            obj = json.loads(line.decode("utf-8"))
-            if not isinstance(obj, dict):
-                raise ValueError("record is not an object")
-        except (UnicodeDecodeError, ValueError) as exc:
-            if any(later.strip() for later in lines[i + 1:]):
-                raise JournalError(
-                    f"{path}: corrupt journal record on line {i + 1}: {exc}"
-                ) from None
-            dropped = 1  # torn tail: the crash truncated the final write
-            break
-        if "meta" in obj:
-            continue  # perf trailer (lint-trace compatibility), no state
-        if "cat" not in obj or "t" not in obj:
-            raise JournalError(
-                f"{path}: line {i + 1} is not a trace record"
-            )
-        entries.append(
-            (
-                int(obj.get("run", 0)),
-                TraceRecord(float(obj["t"]), obj["cat"], obj.get("data")),
-            )
-        )
-    return entries, dropped
+            for segment, rec in iter_jsonl(fh):
+                problems = record_problems(rec.category, rec.data)
+                if problems:
+                    break
+                entries.append((segment, rec))
+        except ValueError as exc:
+            raise JournalError(f"corrupt journal record: {exc}") from None
+        if problems:
+            code, message = problems[0]
+            raise JournalError(line_error(
+                fh, f"refusing a malformed record ({code}: {message})"
+            ))
+        end = fh.tell()
+        dropped = 1 if fh.read(1) else 0
+    return entries, dropped, end
 
 
 def replay(
@@ -227,8 +221,10 @@ def replay(
 
 def load_ledger(path: str) -> JournalLedger:
     """Read + replay in one step."""
-    entries, dropped = read_journal(path)
-    return replay(entries, dropped_tail=dropped)
+    entries, dropped, end = read_journal(path)
+    ledger = replay(entries, dropped_tail=dropped)
+    ledger.end = end
+    return ledger
 
 
 def respec(
@@ -399,6 +395,9 @@ def resume_run(
         grouping=str(ledger.meta.get("grouping", "fifo")),
     )
     specs = [respec(entry, registry) for entry in ledger.outstanding()]
+    # The new segment starts where the replayed records end, so a torn
+    # tail is cut off, never welded onto the segment's first record.
+    os.truncate(path, ledger.end)
     journal = RunJournal(path, env=env, segment=ledger.segments, append=True)
     slots = ledger.meta.get("slots")
     journal.run_begin(

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from typing import IO, Iterable, Iterator, Optional, Union
 
+from ..analysis.schema import INT, NUMBER
 from ..simkernel import TraceRecord
 from ..simkernel.monitor import record_encoder, sanitize, trailer_line
 from .spans import RunSpans, build_spans
@@ -27,6 +29,8 @@ __all__ = [
     "to_jsonl",
     "read_jsonl",
     "iter_jsonl",
+    "line_error",
+    "note_unread",
     "jsonl_runs",
     "jsonl_perf",
     "to_chrome_trace",
@@ -139,56 +143,84 @@ def read_jsonl(
     return [rec for _tag, rec in iter_jsonl(source, run)]
 
 
+#: The ``{"meta": "perf"}`` trailer values ``jets report`` formats.
+_PERF_KINDS = dict(events=INT, records=INT, sim_s=NUMBER, wall_s=NUMBER)
+_FLOAT_MAX = sys.float_info.max
+_decode = json.JSONDecoder().decode
+
+
+def line_error(fh, problem: str) -> str:
+    """``file:line: problem`` for the line a stream has just read; only
+    an error numbers the line, by counting newlines from the start."""
+    end = fh.tell()
+    fh.seek(0)
+    head = fh.read(end)
+    fh.seek(end)
+    line = head.count(b"\n" if isinstance(head, bytes) else "\n")
+    return f"{getattr(fh, 'name', '<stream>')}:{line}: {problem}"
+
+
 def iter_jsonl(
-    source: Union[str, IO[str]],
+    source: Union[str, IO],
     run: Optional[int] = None,
     on_perf=None,
 ) -> Iterator[tuple[int, TraceRecord]]:
     """Stream a JSONL dump as ``(run, record)`` pairs, one line in RAM.
 
-    The one reader loop behind every JSONL fold here: ``jets report`` /
-    ``jets lint-trace`` fold records through it instead of materializing
-    the whole dump, so spilled million-record traces replay in flat
-    memory.  ``run`` filters to one tagged run; ``on_perf(run,
-    perf_dict)`` is called for every ``{"meta": "perf"}`` trailer
-    encountered.  A line that is not JSON, or not an object with a
-    numeric ``t`` and a string ``cat``, raises :class:`ValueError`
-    naming the file and the line.
+    The one JSONL line parser, so every command agrees on what a line
+    is.  ``source`` is a path (read in binary) or a binary or in-memory
+    stream.  A record line is a JSON object with a finite numeric
+    ``t``, a string ``cat`` and, if tagged, an int ``run`` >= 0 (else
+    run 0); ``run`` filters to one tag.  A ``{"meta": "perf"}`` trailer
+    carries the same tag and int ``events``/``records`` and numeric
+    ``sim_s``/``wall_s`` where present; ``on_perf(run, perf_dict)`` gets
+    each.  Other meta lines and blank lines are skipped.  Bytes after
+    the last newline are a torn tail, a write not yet finished: they are
+    never parsed, and the reader stops with the stream at their start,
+    so its owner can read them or pick the reader up again later.  Any
+    other line raises :class:`ValueError` naming the file and the line
+    (a crash leaves none, since every flush writes whole lines).
     """
-    fh = open(source) if isinstance(source, str) else source
-    name = getattr(fh, "name", "<stream>")
+    fh = open(source, "rb") if isinstance(source, str) else source
     try:
-        for lineno, raw in enumerate(fh, 1):
-            raw = raw.strip()
-            if not raw:
+        for raw in fh:
+            if raw[-1:] not in (b"\n", "\n"):
+                fh.seek(fh.tell() - len(raw))
+                return
+            if not raw.strip():
                 continue
             try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{name}:{lineno}:{exc.colno}: {exc.msg}"
-                ) from None
+                obj = _decode(raw.decode() if type(raw) is bytes else raw)
+            except ValueError as exc:
+                raise ValueError(line_error(fh, f"not JSON ({exc})")) from None
             if type(obj) is not dict:
-                raise ValueError(
-                    f"{name}:{lineno}: not a JSON object: {raw[:60]}"
-                )
+                raise ValueError(line_error(fh, "not a JSON object"))
+            tag = obj.get("run", 0)
+            if type(tag) is not int or tag < 0:
+                raise ValueError(line_error(fh, '"run" is not an int >= 0'))
             if "meta" in obj:
-                if obj.get("meta") == "perf" and on_perf is not None:
-                    on_perf(
-                        obj.get("run", 0),
-                        {
-                            k: v for k, v in obj.items()
-                            if k not in ("meta", "run")
-                        },
-                    )
+                if obj["meta"] == "perf":
+                    perf = {
+                        k: v for k, v in obj.items() if k not in ("meta", "run")
+                    }
+                    for key, kind in _PERF_KINDS.items():
+                        if key in perf and not kind.admits(perf[key]):
+                            raise ValueError(line_error(
+                                fh, f"perf {key!r} is not {kind.name}"
+                            ))
+                    if on_perf is not None:
+                        on_perf(tag, perf)
                 continue
             t, cat = obj.get("t"), obj.get("cat")
-            if type(t) not in (int, float) or type(cat) is not str:
-                raise ValueError(
-                    f"{name}:{lineno}: a record needs a numeric \"t\" "
-                    f"and a string \"cat\": {raw[:60]}"
-                )
-            tag = obj.get("run", 0)
+            if (
+                type(t) not in (int, float)
+                or not abs(t) <= _FLOAT_MAX  # finite
+                or type(cat) is not str
+            ):
+                raise ValueError(line_error(
+                    fh, 'not a trace record (it needs a finite numeric "t" '
+                    'and a string "cat")'
+                ))
             if run is not None and tag != run:
                 continue
             yield tag, TraceRecord(
@@ -197,6 +229,17 @@ def iter_jsonl(
     finally:
         if fh is not source:
             fh.close()
+
+
+def note_unread(prog: str, path: str, tail=b"", skipped: int = 0) -> None:
+    """Say on stderr what a command read but did not use: a torn ``tail``
+    and the ``skipped`` records the record judge rejected."""
+    if tail:
+        print(f"{prog}: {path}: ignored {len(tail)} bytes after the last "
+              f"newline (an unfinished record)", file=sys.stderr)
+    if skipped:
+        print(f"{prog}: {path}: skipped {skipped} malformed record(s); "
+              f"'jets lint-trace {path}' lists them", file=sys.stderr)
 
 
 def jsonl_runs(source: Union[str, IO[str]]) -> dict[int, list[TraceRecord]]:

@@ -21,12 +21,12 @@ channel:
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import IO, Optional, Sequence
 
+from ..analysis.schema import OBS_PROGRESS, record_problems
 from ..simkernel import Trace, TraceRecord
 from .metrics import Registry
 
@@ -39,10 +39,6 @@ __all__ = [
     "render_top",
     "top_main",
 ]
-
-#: Heartbeat category (declared in :mod:`repro.analysis.schema`; kept as
-#: a literal here so the obs layer stays importable without analysis).
-OBS_PROGRESS = "obs.progress"
 
 
 class ProgressTracker:
@@ -149,7 +145,7 @@ class RunProgress:
             self.jobs_done += 1
         elif rec.category == "job.failed":
             self.jobs_failed += 1
-        elif rec.category == OBS_PROGRESS and isinstance(rec.data, dict):
+        elif rec.category == OBS_PROGRESS:
             self.heartbeat = rec.data
 
     def status_line(self) -> str:
@@ -188,36 +184,6 @@ class LiveRunState:
         )
 
 
-def _parse_line(raw: str):
-    """One JSONL line -> ("perf", run, dict) | ("rec", run, TraceRecord) |
-    None (blank, non-perf meta, or garbage — follow mode must survive a
-    torn tail)."""
-    raw = raw.strip()
-    if not raw:
-        return None
-    try:
-        obj = json.loads(raw)
-    except ValueError:
-        return None
-    if not isinstance(obj, dict):
-        return None
-    run = obj.get("run", 0)
-    if "meta" in obj:
-        if obj.get("meta") != "perf":
-            return None
-        perf = {k: v for k, v in obj.items() if k not in ("meta", "run")}
-        return ("perf", run, perf)
-    if "t" not in obj or "cat" not in obj:
-        return None
-    return (
-        "rec",
-        run,
-        TraceRecord(
-            time=float(obj["t"]), category=obj["cat"], data=obj.get("data")
-        ),
-    )
-
-
 def follow(
     path: str,
     out: Optional[IO[str]] = None,
@@ -228,14 +194,18 @@ def follow(
 
     Reads from the current end of data onward as the writer appends,
     printing one progress line per ``obs.progress`` heartbeat and one
-    completion line per perf trailer.  Returns 0 once every run seen has
-    trailed off (perf trailer + quiet file), 1 if ``idle_timeout``
-    wall-seconds pass with no new data and no trailer (writer died or
-    wrong file), 2 if the file can't be opened.
+    completion line per perf trailer; each poll picks the one reader up
+    where it stopped, so an unfinished line waits for its newline.
+    Returns 0 once every run seen has trailed off (perf trailer + quiet
+    file), 1 if ``idle_timeout`` wall-seconds pass with no new data and
+    no trailer (writer died or wrong file), 2 if the file can't be
+    opened or holds a broken line.
 
     Rates shown are computed from the *reader's* clock between
     heartbeats; nothing wall-clock is ever written back to the trace.
     """
+    from .export import iter_jsonl, note_unread
+
     stream = out if out is not None else sys.stdout
     state = LiveRunState()
     # Wall clock is the point of follow mode (reader-side rates and the
@@ -244,19 +214,22 @@ def follow(
     last_records = 0
     last_wall: Optional[float] = None
     try:
-        fh = open(path)
+        fh = open(path, "rb")
     except OSError as exc:
         print(f"jets: cannot read {path}: {exc}", file=sys.stderr)
         return 2
-    def handle(parsed) -> None:
-        nonlocal last_records, last_wall
-        kind, run, payload = parsed
-        if kind == "perf":
-            state.note_perf(run, payload)
-            print(state.run(run).status_line(), file=stream)
+
+    def on_perf(run: int, perf: dict) -> None:
+        state.note_perf(run, perf)
+        print(state.run(run).status_line(), file=stream)
+
+    def handle(run: int, rec: TraceRecord) -> None:
+        nonlocal last_records, last_wall, skipped
+        if record_problems(rec.category, rec.data):
+            skipped += 1
             return
-        state.fold(run, payload)
-        if payload.category != OBS_PROGRESS:
+        state.fold(run, rec)
+        if rec.category != OBS_PROGRESS:
             return
         total = sum(rp.records for rp in state.runs.values())
         now = clock()
@@ -266,10 +239,10 @@ def follow(
             rate = f"  {per_s:,.0f} rec/s"
         last_records, last_wall = total, now
         rp = state.run(run)
-        hb = payload.data or {}
+        hb = rec.data
         jobs = hb.get("jobs", {})
         print(
-            f"[run {run}] t={payload.time:9.3f}s  "
+            f"[run {run}] t={rec.time:9.3f}s  "
             f"records={hb.get('records', rp.records)}  "
             f"events={hb.get('events', 0)}  "
             f"jobs done={jobs.get('done', 0)} "
@@ -277,24 +250,22 @@ def follow(
             file=stream,
         )
 
+    skipped = code = 0
     with fh:
-        pending = ""
         idle_since = clock()
         graced = False
         while True:
-            chunk = fh.readline()
-            if chunk:
-                if not chunk.endswith("\n"):
-                    # Torn tail: the writer is mid-line.  Buffer and let
-                    # the next poll complete it.
-                    pending += chunk
-                    continue
-                parsed = _parse_line(pending + chunk)
-                pending = ""
+            start = fh.tell()
+            try:
+                for run, rec in iter_jsonl(fh, on_perf=on_perf):
+                    handle(run, rec)
+            except ValueError as exc:
+                print(f"jets: bad trace file: {exc}", file=sys.stderr)
+                code = 2
+                break
+            if fh.tell() != start:
                 idle_since = clock()
                 graced = False
-                if parsed is not None:
-                    handle(parsed)
                 continue
             # At EOF.  Done when every run seen has its trailer *and* one
             # extra poll of grace passed quiet (a later run may follow).
@@ -302,9 +273,7 @@ def follow(
                 if graced:
                     break
                 graced = True
-                time.sleep(poll)  # repro: noqa[DT001]
-                continue
-            if (
+            elif (
                 idle_timeout is not None
                 and clock() - idle_since > idle_timeout
             ):
@@ -313,9 +282,11 @@ def follow(
                     f"trailer; giving up",
                     file=sys.stderr,
                 )
-                return 1
+                code = 1
+                break
             time.sleep(poll)  # repro: noqa[DT001]
-    return 0
+    note_unread("jets", path, skipped=skipped)
+    return code
 
 
 def render_top(state: LiveRunState, title: str = "") -> str:
@@ -371,20 +342,24 @@ def top_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("tracefile", help="JSONL trace (may be growing)")
     args = parser.parse_args(argv)
+    from .export import iter_jsonl, note_unread
+
     state = LiveRunState()
+    skipped = 0
     try:
-        with open(args.tracefile) as fh:
-            for raw in fh:
-                parsed = _parse_line(raw)
-                if parsed is None:
-                    continue
-                kind, run, payload = parsed
-                if kind == "perf":
-                    state.note_perf(run, payload)
+        with open(args.tracefile, "rb") as fh:
+            for run, rec in iter_jsonl(fh, on_perf=state.note_perf):
+                if record_problems(rec.category, rec.data):
+                    skipped += 1
                 else:
-                    state.fold(run, payload)
+                    state.fold(run, rec)
+            tail = fh.read()
     except OSError as exc:
         print(f"jets: cannot read {args.tracefile}: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"jets: bad trace file: {exc}", file=sys.stderr)
+        return 2
+    note_unread("jets", args.tracefile, tail, skipped)
     print(render_top(state, title=args.tracefile))
     return 0

@@ -282,30 +282,16 @@ class RunSpans:
         return self.t_last - self.t_first
 
 
-def _job_span(run: RunSpans, job_id: Any) -> Optional[JobSpan]:
-    """The span of ``job_id``, made on first sight; ``None`` for a
-    missing id or one that cannot key a span (an id read from a file
-    may be any JSON value), so its record is skipped."""
-    if job_id is None:
-        return None
-    try:
-        span = run.jobs.get(job_id)
-    except TypeError:
-        return None
+def _job_span(run: RunSpans, job_id: str) -> JobSpan:
+    span = run.jobs.get(job_id)
     if span is None:
         span = JobSpan(job_id)
         run.jobs[job_id] = span
     return span
 
 
-def _worker_span(run: RunSpans, worker_id: Any) -> Optional[WorkerSpan]:
-    """As :func:`_job_span`, for a worker id."""
-    if worker_id is None:
-        return None
-    try:
-        span = run.workers.get(worker_id)
-    except TypeError:
-        return None
+def _worker_span(run: RunSpans, worker_id: int) -> WorkerSpan:
+    span = run.workers.get(worker_id)
     if span is None:
         span = WorkerSpan(worker_id)
         run.workers[worker_id] = span
@@ -321,6 +307,11 @@ class SpanBuilder:
     seen so far.  State is proportional to the number of *entities*
     (jobs, workers) and counter ticks, not records, so million-record
     runs fold in bounded extra memory while wire chatter streams past.
+
+    The fold trusts its records' payload kinds: a live run's records
+    are the simulator's own (the campaign oracles check them), and a
+    record read from a file is folded only once the record judge
+    (:func:`repro.analysis.schema.record_problems`) has passed it.
     """
 
     def __init__(self):
@@ -332,11 +323,7 @@ class SpanBuilder:
         if run.t_first is None:
             run.t_first = rec.time
         run.t_last = rec.time
-        cat = rec.category
-        # A payload read from a file may be any JSON value; one that is
-        # not an object folds as empty, so a lifecycle record with it is
-        # skipped like one with no id.
-        data = rec.data if isinstance(rec.data, dict) else {}
+        cat, data = rec.category, rec.data or {}
         if cat.startswith("job."):
             _apply_job(run, rec.time, cat[4:], data)
         elif cat.startswith("worker."):
@@ -379,9 +366,10 @@ def build_spans(source: Iterable[TraceRecord]) -> RunSpans:
 
 
 def _apply_job(run: RunSpans, t: float, state: str, data: dict) -> None:
-    span = _job_span(run, data.get("job"))
-    if span is None:
+    job_id = data.get("job")
+    if job_id is None:
         return
+    span = _job_span(run, job_id)
     if state == "submitted":
         span.t_submitted = t
         span.mpi = data.get("mpi", span.mpi)
@@ -433,10 +421,7 @@ def _apply_resume(run: RunSpans, t: float, state: str, data: dict) -> None:
     elif state == "skip":
         job_id = data.get("job")
         if job_id is not None:
-            try:
-                run.resume_skipped[job_id] = str(data.get("outcome", ""))
-            except TypeError:
-                pass  # an id that cannot key the map, as in _job_span
+            run.resume_skipped[job_id] = str(data.get("outcome", ""))
     elif state == "resubmit":
         job_id = data.get("job")
         if job_id is not None:
@@ -444,9 +429,10 @@ def _apply_resume(run: RunSpans, t: float, state: str, data: dict) -> None:
 
 
 def _apply_worker(run: RunSpans, t: float, state: str, data: dict) -> None:
-    span = _worker_span(run, data.get("worker"))
-    if span is None:
+    worker_id = data.get("worker")
+    if worker_id is None:
         return
+    span = _worker_span(run, worker_id)
     if state == "start":
         span.t_start = t
         span.node = data.get("node", span.node)
@@ -467,12 +453,9 @@ def _apply_worker(run: RunSpans, t: float, state: str, data: dict) -> None:
 def _apply_proxy(run: RunSpans, t: float, state: str, data: dict) -> None:
     job_id = data.get("job")
     proxy_id = data.get("proxy")
-    if proxy_id is None:
+    if job_id is None or proxy_id is None:
         return
-    span = _job_span(run, job_id)
-    if span is None:
-        return
-    attempt = span.open_attempt()
+    attempt = _job_span(run, job_id).open_attempt()
     proxy: Optional[ProxySpan] = None
     for p in attempt.proxies:
         if p.proxy_id == proxy_id:

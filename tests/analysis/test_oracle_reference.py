@@ -7,13 +7,15 @@ lifecycle machine and its payload key sets, and every send is adapted to
 a :class:`~repro.analysis.protocol.WireMessage` before it is checked.
 They are kept here, and only here, as the reference: the production
 validators must report the same issues, with the same fields and text,
-in the same order, on every stream.
+in the same order, on every stream whose payload values have their
+declared kinds.  The reference predates value kinds; what a wrong kind
+adds is pinned by :class:`TestWrongKinds`.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.chaos as chaos
@@ -34,7 +36,7 @@ from repro.analysis.protocol import (
     SessionValidator,
     WireMessage,
 )
-from repro.analysis.schema import PREFIX_FAMILIES, REGISTRY
+from repro.analysis.schema import ID, PREFIX_FAMILIES, REGISTRY
 from repro.analysis.tracecheck import TraceValidator
 from repro.netsim.sockets import WireEvent
 from repro.simkernel import TraceRecord
@@ -386,12 +388,34 @@ OTHER_CATEGORIES = [
     "",
     ".",
 ]
-IDS = st.sampled_from([0, 1, 2, "w0", None])
 ODD_KEYS = st.sampled_from(["vibe", "zz", 7, (1, 2), 2.5, "job", "worker"])
+#: Values of each exact type a kind may name; ids collide across records.
+SAMPLES = {
+    int: [0, 1, 2],
+    str: ["w0", "a"],
+    float: [0.5, 2.5],
+    bool: [True, False],
+    list: [[], [1]],
+    dict: [{}],
+    type(None): [None],
+}
+
+
+def value_of(draw, kind):
+    """A value of ``kind`` (the declared kind of a payload key)."""
+    typ = draw(st.sampled_from(sorted(kind.types, key=lambda t: t.__name__)))
+    if kind.values:
+        item = draw(
+            st.sampled_from(sorted(kind.values, key=lambda t: t.__name__))
+        )
+        return {"a": draw(st.sampled_from(SAMPLES[item]))}
+    return draw(st.sampled_from(SAMPLES[typ]))
 
 
 @st.composite
 def payloads(draw, category):
+    """Payloads whose values have their declared kinds (the shapes and
+    key sets vary); :class:`TestWrongKinds` covers the other values."""
     shape = draw(st.integers(0, 9))
     if shape == 0:
         return None
@@ -408,9 +432,10 @@ def payloads(draw, category):
         keys += draw(st.lists(st.sampled_from(optional), unique=True))
     if not draw(st.integers(0, 3)):
         keys += draw(st.lists(ODD_KEYS, max_size=2))
-    data = {key: draw(IDS) for key in keys}
+    kinds = spec.kinds if spec else {}
+    data = {key: value_of(draw, kinds.get(key, ID)) for key in keys}
     if category.startswith("job.") and draw(st.booleans()):
-        data["worker"] = draw(IDS)
+        data["worker"] = value_of(draw, ID)
     return SubDict(data) if shape == 2 else data
 
 
@@ -483,6 +508,57 @@ class TestTraceValidatorMatchesReference:
         assert {code for code, *_ in issues} == {
             "TV001", "TV002", "TV003", "TV004", "TV005",
         }
+
+
+WRONG = [None, True, 7, 2.5, "x", [1], {"a": "b"}]
+
+
+class TestWrongKinds:
+    """A value of the wrong kind adds the judge's kind verdicts to its
+    own record (TV002, and TV005 for an id the replay keys on, which
+    also keeps the record out of the replay) and changes nothing before
+    that record; the reference never checked kinds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(record_streams(), st.data())
+    def test_one_wrong_value(self, records, data):
+        picks = [
+            (i, key)
+            for i, rec in enumerate(records)
+            if type(rec.data) is dict and ref_lookup(rec.category)
+            for key in sorted(ref_lookup(rec.category).kinds)
+            if key in rec.data
+        ]
+        assume(picks)
+        index, key = data.draw(st.sampled_from(picks))
+        rec = records[index]
+        spec = ref_lookup(rec.category)
+        kind = spec.kinds[key]
+        value = data.draw(
+            st.sampled_from([v for v in WRONG if not kind.admits(v)])
+        )
+        mutated = list(records)
+        mutated[index] = TraceRecord(
+            rec.time, rec.category, {**rec.data, key: value}
+        )
+
+        ref, new = RefTraceValidator(), TraceValidator()
+        for r in records:
+            ref.feed(r)
+        for r in mutated:
+            new.feed(r)
+        got = issue_tuples(new)
+        assert [i for i in got if i[1] < index] == [
+            i for i in ref.issues if i[1] < index
+        ]
+        expected = {(i[0], i[4]) for i in ref.issues if i[1] == index}
+        expected.add(("TV002", f"{key!r} must be {kind.name}, got {value!r}"))
+        if key in spec.ids:
+            expected = {i for i in expected if i[0] != "TV004"}
+            expected.add(
+                ("TV005", f"lifecycle id {key!r} is not an id: {value!r}")
+            )
+        assert {(i[0], i[4]) for i in got if i[1] == index} == expected
 
 
 # -- generated wire streams ---------------------------------------------------

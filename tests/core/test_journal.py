@@ -227,24 +227,6 @@ class TestTypedHelpers:
 
 
 class TestTornTailTruncation:
-    def test_append_mode_trims_partial_final_line(self, tmp_path):
-        path = tmp_path / "run.journal"
-        jn = RunJournal(str(path), env=_Clock())
-        jn.job_done("a", 0)
-        jn.job_done("b", 0)
-        jn.close()
-        raw = path.read_bytes()
-        torn_at = raw.rstrip(b"\n").rfind(b"\n") + 1 + 4
-        path.write_bytes(raw[:torn_at])  # torn mid-final-record
-        jn2 = RunJournal(str(path), env=_Clock(), segment=1, append=True)
-        jn2.job_done("c", 0)
-        jn2.close()
-        # Every line parses: the fragment was dropped, not welded onto
-        # the next segment's first record.
-        recs = read_lines(path)
-        assert [r["data"]["job"] for r in recs] == ["a", "c"]
-        assert [r["run"] for r in recs] == [0, 1]
-
     def test_append_mode_noop_on_clean_file(self, tmp_path):
         path = tmp_path / "run.journal"
         jn = RunJournal(str(path), env=_Clock())
@@ -254,12 +236,3 @@ class TestTornTailTruncation:
         jn2 = RunJournal(str(path), env=_Clock(), segment=1, append=True)
         jn2.close()
         assert path.read_bytes() == before
-
-    def test_append_mode_empties_single_torn_line(self, tmp_path):
-        path = tmp_path / "run.journal"
-        path.write_bytes(b'{"t":0.0,"cat":"journal.run_beg')  # no newline
-        jn = RunJournal(str(path), env=_Clock(), segment=1, append=True)
-        jn.job_done("a", 0)
-        jn.close()
-        recs = read_lines(path)
-        assert [r["data"]["job"] for r in recs] == ["a"]

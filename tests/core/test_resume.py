@@ -1,6 +1,7 @@
 """Tests for journal replay, torn-tail tolerance, and crash-equivalence."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -48,26 +49,57 @@ def write_small_journal(path, *, end=False):
 class TestTornTail:
     def test_every_truncation_offset_inside_final_record(self, tmp_path):
         """Cut the journal at *every* byte inside its last record: the
-        reader must never raise and must recover all earlier records."""
+        reader must never raise, must recover all earlier records, and
+        the ledger a resume acts on must be the one its own append
+        leaves behind."""
         path = tmp_path / "run.journal"
         write_small_journal(path)
         raw = path.read_bytes()
         body = raw.rstrip(b"\n")
         last_start = body.rfind(b"\n") + 1
-        full_entries, dropped = read_journal(str(path))
-        assert dropped == 0
+        full_entries, dropped, end = read_journal(str(path))
+        assert (dropped, end) == (0, len(raw))
         n = len(full_entries)
         assert n >= 5
+        torn = tmp_path / "torn.journal"
         for cut in range(last_start + 1, len(raw)):
-            torn = tmp_path / "torn.journal"
             torn.write_bytes(raw[:cut])
-            entries, dropped = read_journal(str(torn))
-            if cut >= len(raw) - 1:
-                # Only the trailing newline is missing: the final record
-                # is complete JSON and still parses.
-                assert (len(entries), dropped) == (n, 0)
-            else:
-                assert (len(entries), dropped) == (n - 1, 1)
+            entries, dropped, end = read_journal(str(torn))
+            # Even a final record that lacks only its newline is a write
+            # the crash cut short.
+            assert (len(entries), dropped, end) == (n - 1, 1, last_start)
+            before = load_ledger(str(torn))
+            resume_run(str(torn))
+            entries = read_journal(str(torn))[0]
+            after = replay([e for e in entries if e[0] == 0])
+            assert after == replace(before, dropped_tail=0, end=0)
+
+    def test_resume_appends_after_last_whole_line(self, tmp_path):
+        path = tmp_path / "run.journal"
+        write_small_journal(path)
+        raw = path.read_bytes()
+        torn_at = raw.rstrip(b"\n").rfind(b"\n") + 1 + 4
+        path.write_bytes(raw[:torn_at])  # torn mid-final-record
+        resume_run(str(path))
+        kept = raw[: raw.rfind(b"\n", 0, torn_at) + 1]
+        after = path.read_bytes()
+        assert after.startswith(kept)
+        # Every appended line parses as segment 1: the fragment was
+        # dropped, not welded onto the next segment's first record.
+        appended = after[len(kept):].splitlines()
+        assert [json.loads(line)["run"] for line in appended] == [1] * len(
+            appended
+        )
+
+    def test_single_torn_line_reads_as_empty(self, tmp_path):
+        path = tmp_path / "run.journal"
+        path.write_bytes(b'{"t":0.0,"cat":"journal.run_beg')  # no newline
+        assert read_journal(str(path)) == ([], 1, 0)
+        # With no header there is nothing to resume, and the file is
+        # refused before anything is appended.
+        with pytest.raises(JournalError, match="no run header"):
+            resume_run(str(path))
+        assert path.read_bytes() == b'{"t":0.0,"cat":"journal.run_beg'
 
     def test_replay_of_torn_journal_keeps_job_outstanding(self, tmp_path):
         path = tmp_path / "run.journal"
@@ -118,7 +150,7 @@ class TestReplay:
     def test_replay_is_idempotent_over_duplicates(self, tmp_path):
         path = tmp_path / "run.journal"
         write_small_journal(path)
-        entries, dropped = read_journal(str(path))
+        entries, dropped, _ = read_journal(str(path))
         once = replay(entries, dropped)
         twice = replay(list(entries) + list(entries), dropped)
         assert {j: (v.status, v.attempts) for j, v in once.jobs.items()} == {
@@ -227,7 +259,7 @@ class TestResumeTwice:
         assert not first.clean
         # The torn fragment must not corrupt the appended segment:
         # every line still parses and a second resume is a clean no-op.
-        entries, dropped = read_journal(str(path))
+        entries, dropped, _ = read_journal(str(path))
         assert dropped == 0
         second = resume_run(str(path))
         assert second.clean

@@ -7,13 +7,13 @@ import json
 
 import pytest
 
+from repro.obs.export import iter_jsonl
 from repro.obs.metrics import Registry
 from repro.obs.progress import (
     OBS_PROGRESS,
     LiveRunState,
     ProgressTracker,
     RunProgress,
-    _parse_line,
     follow,
     render_top,
     top_main,
@@ -85,19 +85,26 @@ class TestProgressTracker:
 
 
 class TestParseLine:
+    """The one JSONL line parser (:func:`repro.obs.export.iter_jsonl`),
+    as ``jets top`` and ``jets report --follow`` read through it."""
+
+    GOOD = b'{"t":0.0,"cat":"job.done","data":{"job":1}}\n'
+
     def test_record_line(self):
-        kind, run, rec = _parse_line(
-            '{"t":1.5,"cat":"job.done","data":{"job":3},"run":2}'
+        buf = io.BytesIO(
+            b'{"t":1.5,"cat":"job.done","data":{"job":3},"run":2}\n'
         )
-        assert (kind, run) == ("rec", 2)
-        assert rec == TraceRecord(1.5, "job.done", {"job": 3})
+        assert list(iter_jsonl(buf)) == [
+            (2, TraceRecord(1.5, "job.done", {"job": 3}))
+        ]
 
     def test_perf_trailer(self):
-        kind, run, perf = _parse_line(
-            '{"meta":"perf","run":1,"events":10,"records":4,"sim_s":2.0}'
+        perf = {}
+        buf = io.BytesIO(
+            b'{"meta":"perf","run":1,"events":10,"records":4,"sim_s":2.0}\n'
         )
-        assert (kind, run) == ("perf", 1)
-        assert perf == {"events": 10, "records": 4, "sim_s": 2.0}
+        assert list(iter_jsonl(buf, on_perf=perf.__setitem__)) == []
+        assert perf == {1: {"events": 10, "records": 4, "sim_s": 2.0}}
 
     @pytest.mark.parametrize(
         "raw",
@@ -112,7 +119,40 @@ class TestParseLine:
         ],
     )
     def test_garbage_and_partials_are_skipped(self, raw):
-        assert _parse_line(raw) is None
+        # Bytes after the last newline are a write still in progress:
+        # never parsed, and left unread for the stream's owner.
+        buf = io.BytesIO(self.GOOD + raw.encode())
+        assert list(iter_jsonl(buf)) == [
+            (0, TraceRecord(0.0, "job.done", {"job": 1}))
+        ]
+        assert buf.read() == raw.encode()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "not json at all",
+            "[1, 2, 3]",
+            '{"cat":"job.done"}',
+            '{"t":NaN,"cat":"job.done"}',
+            '{"t":0.0,"cat":"job.done","run":-1}',
+            '{"meta":"perf","sim_s":"y"}',
+        ],
+    )
+    def test_finished_garbage_line_names_its_line(self, raw):
+        buf = io.BytesIO(self.GOOD + raw.encode() + b"\n" + self.GOOD)
+        with pytest.raises(ValueError, match=r"^<stream>:2: "):
+            list(iter_jsonl(buf))
+
+    def test_reader_picks_up_where_it_stopped(self):
+        line = b'{"t":1.0,"cat":"job.done","data":{"job":2}}\n'
+        buf = io.BytesIO(self.GOOD + line[:10])
+        assert len(list(iter_jsonl(buf))) == 1
+        buf.seek(0, io.SEEK_END)
+        buf.write(line[10:])
+        buf.seek(len(self.GOOD))
+        assert list(iter_jsonl(buf)) == [
+            (0, TraceRecord(1.0, "job.done", {"job": 2}))
+        ]
 
 
 class TestLiveRunState:
@@ -128,14 +168,8 @@ class TestLiveRunState:
     def test_fold_tracks_runs_and_completion(self, tmp_path, env):
         path = self._spill(tmp_path, env)
         state = LiveRunState()
-        with open(path) as fh:
-            for raw in fh:
-                parsed = _parse_line(raw)
-                kind, run, payload = parsed
-                if kind == "perf":
-                    state.note_perf(run, payload)
-                else:
-                    state.fold(run, payload)
+        for run, rec in iter_jsonl(str(path), on_perf=state.note_perf):
+            state.fold(run, rec)
         assert state.complete
         rp = state.runs[0]
         assert rp.jobs_done == 10
