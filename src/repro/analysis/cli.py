@@ -388,7 +388,7 @@ def _confirm_fixture(schedules: int, seed: int) -> tuple[int, int]:
     """Permute the demo's schedule; returns (divergent, total) counts."""
     from ..obs.export import CanonicalDigest
     from ..simkernel import SeededOrder
-    from .explore import _derive_seed
+    from .campaign import derive_seed
     from .hbmodel import seeded_race_demo
 
     def digest_of(order) -> str:
@@ -401,7 +401,7 @@ def _confirm_fixture(schedules: int, seed: int) -> tuple[int, int]:
     baseline = digest_of(None)
     divergent = 0
     for index in range(1, schedules + 1):
-        if digest_of(SeededOrder(_derive_seed(seed, index))) != baseline:
+        if digest_of(SeededOrder(derive_seed(seed, index))) != baseline:
             divergent += 1
     return divergent, schedules
 

@@ -33,13 +33,25 @@ permanently failed == submitted).
 from __future__ import annotations
 
 import argparse
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional, Sequence
 
-from ..analysis.protocol import SessionValidator, channel_for_service
-from ..analysis.tracecheck import TraceValidator
-from ..simkernel import Environment, SeededOrder
+from ..analysis.campaign import (
+    CampaignReport,
+    Run,
+    add_smoke_flags,
+    derive_seed,
+    print_result,
+    run_campaign,
+    smoke_config,
+    smoke_jobs,
+)
+from ..analysis.protocol import channel_for_service
+from ..cluster.machine import generic_cluster
+from ..mpi.hydra import PROXY_IMAGE
+from .dispatcher import JetsServiceConfig
+from .recovery import PilotKeeper, RecoveryPolicy
+from .staging import StagingManager
 
 __all__ = [
     "FAULT_KINDS",
@@ -508,20 +520,8 @@ class PlanResult:
         return self.drained and not self.problems
 
 
-@dataclass
-class ChaosReport:
+class ChaosReport(CampaignReport):
     """Everything one chaos campaign produced."""
-
-    config: ChaosConfig
-    results: list[PlanResult] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[PlanResult]:
-        return [r for r in self.results if not r.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def kinds_exercised(self) -> dict[str, int]:
         """Total injections per fault kind across the campaign."""
@@ -530,14 +530,6 @@ class ChaosReport:
             for kind, count in result.injected.items():
                 totals[kind] += count
         return totals
-
-
-def _derive_seed(base: int, index: int) -> int:
-    # Same derivation as jets explore: plan 0 of seed 0 keeps the FIFO
-    # baseline ordering; later plans get well-separated streams.
-    if index == 0 and base == 0:
-        return 0
-    return (base * 1_000_003 + index) & ((1 << 63) - 1) or 1
 
 
 def _clause_for(kind: str, index: int, slot: int, window_hi: float) -> FaultClause:
@@ -602,37 +594,15 @@ def run_chaos_plan(
     config: ChaosConfig, index: int, plan: Optional[FaultPlan] = None
 ) -> PlanResult:
     """Execute and validate one chaos plan on the smoke configuration."""
-    # Imported here, like explore: keeps module import light for the CLI.
-    from ..apps.synthetic import BarrierSleepBarrier, SleepProgram
-    from ..cluster.machine import generic_cluster
-    from ..cluster.platform import Platform
-    from ..core.dispatcher import JetsDispatcher, JetsServiceConfig
-    from ..core.recovery import PilotKeeper, RecoveryPolicy
-    from ..core.staging import StagingManager
-    from ..core.tasklist import JobSpec
-    from ..core.worker import WorkerAgent
-    from ..mpi.hydra import PROXY_IMAGE
-
     if plan is None:
         plan = plan_for_index(index, config.fault_window)
-    seed = _derive_seed(config.seed, index)
-    env = Environment(order=SeededOrder(seed))
-    platform = Platform(
+    seed = derive_seed(config.seed, index)
+    run = Run(
         generic_cluster(
             nodes=config.workers, cores_per_node=config.cores_per_node
         ),
-        env=env,
-        seed=seed,
+        seed,
     )
-    # Trace and protocol oracles run incrementally as the run streams —
-    # the session validator *is* the network tap and the trace validator
-    # subscribes to the platform sink — so chaos campaigns stay bounded
-    # in memory even when the trace windows and spills underneath.
-    trace_validator = TraceValidator()
-    platform.trace.subscribe(trace_validator.feed)
-    sessions = SessionValidator()
-    platform.network.add_tap(sessions.tap)
-
     recovery = RecoveryPolicy(
         backoff_base=0.05,
         backoff_factor=2.0,
@@ -645,115 +615,65 @@ def run_chaos_plan(
         quarantine_period=5.0,
         zombie_grace=6.0,
     )
-    dispatcher = JetsDispatcher(
-        platform,
+    dispatcher = run.start_dispatcher(
         JetsServiceConfig(
             heartbeat_interval=config.heartbeat, recovery=recovery
-        ),
-        expected_workers=config.workers,
+        )
     )
-    dispatcher.start()
-    staging = StagingManager(env, [PROXY_IMAGE])
+    staging = StagingManager(run.env, [PROXY_IMAGE])
     keeper = PilotKeeper(
-        platform,
+        run.platform,
         dispatcher,
         recovery,
         staging=staging,
         heartbeat_interval=config.heartbeat,
     )
-    for node in platform.nodes:
-        agent = WorkerAgent(
-            platform,
-            node,
-            dispatcher.endpoint,
-            staging=staging,
-            heartbeat_interval=config.heartbeat,
-        )
-        keeper.adopt(agent)
-        agent.start()
-    keeper.start()
-
-    engine = ChaosEngine(
-        platform, keeper.live_agents, staging=staging
+    run.start_pilots(
+        adopt=keeper.adopt,
+        staging=staging,
+        heartbeat_interval=config.heartbeat,
     )
+    keeper.start()
+    engine = ChaosEngine(run.platform, keeper.live_agents, staging=staging)
     engine.start(plan)
-
-    jobs = []
-    for i in range(config.serial_tasks):
-        jobs.append(
-            JobSpec(
-                program=SleepProgram(0.3 + 0.2 * (i % 3)),
-                nodes=1,
-                mpi=False,
-                max_attempts=config.max_attempts,
-            )
-        )
-    for _i in range(config.mpi_tasks):
-        jobs.append(
-            JobSpec(
-                program=BarrierSleepBarrier(0.8),
-                nodes=config.mpi_nodes,
-                ppn=config.cores_per_node,
-                mpi=True,
-                max_attempts=config.max_attempts,
-            )
-        )
-    dispatcher.submit_many(jobs)
-
-    watchdog = env.timeout(config.until)
-    env.run(env.any_of([dispatcher.drained, watchdog]))
-    drained = dispatcher.drained.triggered
-    if drained:
-        engine.stop()
-        keeper.stop()
-        env.process(dispatcher.shutdown_workers(), name="chaos-shutdown")
-        env.run(until=env.now + 10 * config.heartbeat + 1.0)
+    dispatcher.submit_many(smoke_jobs(config))
+    drained = run.drain(config.until, faults=(engine, keeper))
 
     jobs_ok = sum(1 for c in dispatcher.completed if c.ok)
-    jobs_failed = sum(1 for c in dispatcher.completed if not c.ok)
-    result = PlanResult(
+    jobs_failed = len(dispatcher.completed) - jobs_ok
+    # Accounting oracle: every submitted job is settled exactly once.
+    accounting = []
+    settled = [c.job.job_id for c in dispatcher.completed]
+    if len(settled) != len(set(settled)):
+        accounting.append("accounting: a job settled more than once")
+    if drained and jobs_ok + jobs_failed != dispatcher.jobs_submitted:
+        accounting.append(
+            f"accounting: done({jobs_ok}) + failed({jobs_failed}) != "
+            f"submitted({dispatcher.jobs_submitted})"
+        )
+    return PlanResult(
         index=index,
         seed=seed,
         plan=plan,
         injected=dict(engine.injected),
         respawns=keeper.respawns,
         drained=drained,
-        wire_count=sessions.seen,
+        wire_count=run.sessions.seen,
         jobs_ok=jobs_ok,
         jobs_failed=jobs_failed,
         jobs_submitted=dispatcher.jobs_submitted,
+        problems=run.judge(drained, config.until, *accounting),
     )
-    if not drained:
-        result.problems.append(
-            f"run did not drain within {config.until} sim-seconds "
-            f"({dispatcher.jobs_finished}/{dispatcher.jobs_submitted} jobs)"
-        )
-    # Accounting oracle: every submitted job is settled exactly once.
-    settled = [c.job.job_id for c in dispatcher.completed]
-    if len(settled) != len(set(settled)):
-        result.problems.append("accounting: a job settled more than once")
-    if drained and jobs_ok + jobs_failed != dispatcher.jobs_submitted:
-        result.problems.append(
-            f"accounting: done({jobs_ok}) + failed({jobs_failed}) != "
-            f"submitted({dispatcher.jobs_submitted})"
-        )
-    for issue in trace_validator.issues:
-        result.problems.append(f"lint-trace: {issue.render()}")
-    for problem in sessions.finish():
-        result.problems.append(f"protocol: {problem}")
-    env.close()
-    return result
 
 
 def chaos_campaign(config: ChaosConfig, progress=None) -> ChaosReport:
     """Run the whole campaign; ``progress`` is called per plan."""
-    report = ChaosReport(config=config)
-    for index in range(config.plans):
-        result = run_chaos_plan(config, index)
-        report.results.append(result)
-        if progress is not None:
-            progress(result)
-    return report
+    return run_campaign(
+        ChaosReport(config),
+        config.plans,
+        lambda index: run_chaos_plan(config, index),
+        progress,
+    )
 
 
 def chaos_main(argv: Optional[Sequence[str]] = None) -> int:
@@ -772,72 +692,31 @@ def chaos_main(argv: Optional[Sequence[str]] = None) -> int:
         "--plans", type=int, default=200,
         help="number of generated fault plans to run (default 200)",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="base seed; plans replay byte-for-byte for a given seed",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=6,
-        help="worker (node) count of the smoke configuration",
-    )
-    parser.add_argument(
-        "--serial-tasks", type=int, default=12,
-        help="serial jobs in the workload mix",
-    )
-    parser.add_argument(
-        "--mpi-tasks", type=int, default=3,
-        help="MPI jobs in the workload mix",
-    )
-    parser.add_argument(
-        "--mpi-nodes", type=int, default=2,
-        help="nodes per MPI job (keep below --workers so kills drain)",
-    )
-    parser.add_argument(
-        "--until", type=float, default=600.0,
-        help="per-plan drain watchdog, in sim-seconds",
-    )
+    add_smoke_flags(parser, ChaosConfig(), "plan")
     parser.add_argument(
         "--fault-window", type=float, default=30.0,
         help="faults only fire in [0, WINDOW] sim-seconds (default 30)",
     )
-    parser.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="print one line per plan",
-    )
     args = parser.parse_args(argv)
-
-    config = ChaosConfig(
-        workers=args.workers,
-        serial_tasks=args.serial_tasks,
-        mpi_tasks=args.mpi_tasks,
-        mpi_nodes=args.mpi_nodes,
-        plans=args.plans,
-        seed=args.seed,
-        until=args.until,
-        fault_window=args.fault_window,
+    config = smoke_config(
+        "jets chaos", ChaosConfig, args,
+        plans=args.plans, fault_window=args.fault_window,
     )
-    if config.mpi_tasks and config.mpi_nodes >= config.workers:
-        print(
-            "jets chaos: --mpi-nodes must stay below --workers or an "
-            "injected kill can never drain",
-            file=sys.stderr,
-        )
+    if config is None:
         return 2
 
     def progress(result: PlanResult) -> None:
-        if args.verbose or not result.ok:
-            mix = "+".join(
-                f"{k}:{v}" for k, v in result.injected.items() if v
-            ) or "none"
-            status = "ok" if result.ok else "FAIL"
-            print(
-                f"plan {result.index:4d} seed={result.seed} "
-                f"faults={mix} respawns={result.respawns} "
-                f"jobs={result.jobs_ok}+{result.jobs_failed}"
-                f"/{result.jobs_submitted} {status}"
-            )
-            for problem in result.problems[:10]:
-                print(f"    {problem}")
+        mix = "+".join(
+            f"{k}:{v}" for k, v in result.injected.items() if v
+        ) or "none"
+        print_result(
+            result,
+            f"plan {result.index:4d} seed={result.seed} "
+            f"faults={mix} respawns={result.respawns} "
+            f"jobs={result.jobs_ok}+{result.jobs_failed}"
+            f"/{result.jobs_submitted}",
+            args.verbose,
+        )
 
     report = chaos_campaign(config, progress)
     failed = len(report.failures)

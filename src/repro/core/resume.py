@@ -39,8 +39,23 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..analysis.campaign import (
+    CampaignReport,
+    Run,
+    derive_seed,
+    print_result,
+    run_campaign,
+)
+from ..cluster.machine import (
+    breadboard, eureka, generic_cluster, intrepid, surveyor,
+)
+from ..mpi.hydra import PROXY_IMAGE
 from ..simkernel.monitor import TraceRecord
+from .chaos import ChaosEngine, FaultClause, FaultPlan
+from .dispatcher import JetsServiceConfig
+from .jets import service_config_for
 from .journal import RunJournal
+from .staging import StagingManager
 from .tasklist import JobSpec, ProgramRegistry, TaskList
 
 __all__ = [
@@ -268,10 +283,6 @@ def respec(
 
 def _machine_for(meta: dict):
     """Rebuild the machine the journal header describes."""
-    from ..cluster.machine import (
-        breadboard, eureka, generic_cluster, intrepid, surveyor,
-    )
-
     name = str(meta.get("machine", "generic"))
     nodes = int(meta.get("nodes", 8))
     if name == "generic":
@@ -288,13 +299,6 @@ def _machine_for(meta: dict):
     if builder is None:
         raise JournalError(f"journal header names unknown machine {name!r}")
     return builder().scaled(nodes)
-
-
-def _segment_seed(base: int, segment: int) -> int:
-    """Seed for a resume segment: distinct per segment, deterministic."""
-    if segment == 0:
-        return base
-    return (base * 1_000_003 + segment) & ((1 << 63) - 1) or 1
 
 
 @dataclass
@@ -341,7 +345,6 @@ def resume_run(
     path: str,
     until: float = 600.0,
     registry: Optional[ProgramRegistry] = None,
-    validate: bool = True,
 ) -> ResumeReport:
     """Resume the run journaled at ``path``; appends a new segment.
 
@@ -349,17 +352,9 @@ def resume_run(
     journal header describes (a crashed dispatcher takes its allocation
     with it, so the resume runs in a new allocation and restages from
     scratch when the original run staged).  Settled jobs are skipped,
-    in-flight ones resubmitted with attempts preserved.
+    in-flight ones resubmitted with attempts preserved.  Segment ``s``
+    runs at seed ``derive_seed(header seed, s)``.
     """
-    from ..analysis.tracecheck import TraceValidator
-    from ..cluster.platform import Platform
-    from ..mpi.hydra import PROXY_IMAGE
-    from ..simkernel import Environment, SeededOrder
-    from .dispatcher import JetsDispatcher
-    from .jets import service_config_for
-    from .staging import StagingManager
-    from .worker import WorkerAgent
-
     ledger = load_ledger(path)
     if not ledger.meta:
         raise JournalError(f"{path}: journal has no run header")
@@ -379,26 +374,27 @@ def resume_run(
             drained=True,
         )
 
-    machine = _machine_for(ledger.meta)
+    # Values of the right kind can still be out of range (a zero node
+    # count, a serial job on two nodes): refuse them before the journal
+    # is touched.
+    try:
+        machine = _machine_for(ledger.meta)
+        specs = [respec(entry, registry) for entry in ledger.outstanding()]
+    except ValueError as exc:
+        raise JournalError(f"{path}: {exc}") from None
     base_seed = int(ledger.meta.get("seed", 0))
-    seed = _segment_seed(base_seed, ledger.segments)
-    env = Environment(order=SeededOrder(seed))
-    platform = Platform(machine, env=env, seed=seed)
-    trace_validator = None
-    if validate:
-        trace_validator = TraceValidator()
-        platform.trace.subscribe(trace_validator.feed)
-
+    run = Run(machine, derive_seed(base_seed, ledger.segments))
     service = service_config_for(
         machine,
         policy=str(ledger.meta.get("policy", "fifo")),
         grouping=str(ledger.meta.get("grouping", "fifo")),
     )
-    specs = [respec(entry, registry) for entry in ledger.outstanding()]
     # The new segment starts where the replayed records end, so a torn
     # tail is cut off, never welded onto the segment's first record.
     os.truncate(path, ledger.end)
-    journal = RunJournal(path, env=env, segment=ledger.segments, append=True)
+    journal = RunJournal(
+        path, env=run.env, segment=ledger.segments, append=True
+    )
     slots = ledger.meta.get("slots")
     journal.run_begin(
         machine=machine.name,
@@ -412,31 +408,22 @@ def resume_run(
         stage=bool(ledger.meta.get("stage", True)),
         resume=True,
     )
-    dispatcher = JetsDispatcher(
-        platform, service, expected_workers=machine.nodes, journal=journal
-    )
-    dispatcher.start()
+    dispatcher = run.start_dispatcher(service, journal=journal)
     staging = None
     if ledger.meta.get("stage", True):
         images = {PROXY_IMAGE.name: PROXY_IMAGE}
         for spec in specs:
             img = spec.program.image
             images.setdefault(img.name, img)
-        staging = StagingManager(env, images.values())
-    workers = []
-    for node in platform.nodes:
-        agent = WorkerAgent(
-            platform,
-            node,
-            dispatcher.endpoint,
-            slots=slots,
-            staging=staging,
-            heartbeat_interval=service.heartbeat_interval,
-        )
-        workers.append(agent)
-        agent.start()
+        staging = StagingManager(run.env, images.values())
+    run.start_pilots(
+        slots=slots,
+        staging=staging,
+        heartbeat_interval=service.heartbeat_interval,
+    )
 
-    platform.trace.log(
+    trace = run.platform.trace
+    trace.log(
         "resume.begin",
         {
             "journal": os.path.basename(path),
@@ -446,31 +433,23 @@ def resume_run(
         },
     )
     for job in ledger.settled():
-        platform.trace.log(
-            "resume.skip", {"job": job.job_id, "outcome": job.status}
-        )
+        trace.log("resume.skip", {"job": job.job_id, "outcome": job.status})
     for spec in specs:
-        platform.trace.log(
+        trace.log(
             "resume.resubmit", {"job": spec.job_id, "attempt": spec.attempts}
         )
     dispatcher.submit_many(specs)
 
-    watchdog = env.timeout(until)
-    env.run(env.any_of([dispatcher.drained, watchdog]))
-    drained = dispatcher.drained.triggered
-    if drained:
-        env.process(dispatcher.shutdown_workers(), name="resume-shutdown")
-        env.run(until=env.now + 10 * service.heartbeat_interval + 1.0)
+    drained = run.drain(until)
     jobs_ok = sum(1 for c in dispatcher.completed if c.ok)
-    jobs_failed = sum(1 for c in dispatcher.completed if not c.ok)
+    jobs_failed = len(dispatcher.completed) - jobs_ok
     journal.run_end(
         ok=drained and jobs_failed == 0,
         completed=jobs_ok,
         failed=jobs_failed,
     )
     journal.close()
-
-    report = ResumeReport(
+    return ResumeReport(
         journal=path,
         segment=ledger.segments,
         crash_time=ledger.crash_time,
@@ -481,17 +460,8 @@ def resume_run(
         jobs_ok=jobs_ok,
         jobs_failed=jobs_failed,
         drained=drained,
+        problems=run.judge(drained, until),
     )
-    if not drained:
-        report.problems.append(
-            f"resumed run did not drain within {until} sim-seconds "
-            f"({dispatcher.jobs_finished}/{dispatcher.jobs_submitted} jobs)"
-        )
-    if trace_validator is not None:
-        for issue in trace_validator.issues:
-            report.problems.append(f"lint-trace: {issue.render()}")
-    env.close()
-    return report
 
 
 # -- crash-equivalence campaign -------------------------------------------------
@@ -529,21 +499,11 @@ class CampaignPoint:
 
 
 @dataclass
-class CampaignReport:
-    """Outcome of a whole crash-equivalence campaign."""
+class CrashCampaignReport(CampaignReport):
+    """Outcome of a whole crash-equivalence campaign, one point a result."""
 
-    config: ResumeCampaignConfig
-    journal_dir: str
-    baseline_drain: float
-    points: list[CampaignPoint] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[CampaignPoint]:
-        return [p for p in self.points if not p.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    journal_dir: str = ""
+    baseline_drain: float = 0.0
 
 
 def _campaign_lines(config: ResumeCampaignConfig) -> list[str]:
@@ -563,20 +523,14 @@ def _campaign_run(
     config: ResumeCampaignConfig,
     journal_path: str,
     crash_at: Optional[float] = None,
-) -> tuple[Optional[dict], bool, float]:
-    """One campaign run; returns ``(accounting, crashed, t_drain)``.
+) -> tuple[Optional[dict], float]:
+    """One campaign run; returns ``(accounting, t_stop)``.
 
     ``accounting`` maps job_id -> (ok, attempts); it is ``None`` when the
     seeded ``dispatcher_crash`` fired first (the journal is abandoned
-    mid-write, exactly as a dead process leaves it).
+    mid-write, exactly as a dead process leaves it).  ``t_stop`` is when
+    the batch drained, or the crash or the watchdog stopped it.
     """
-    from ..cluster.machine import generic_cluster
-    from ..cluster.platform import Platform
-    from ..simkernel import Environment, SeededOrder
-    from .chaos import ChaosEngine, FaultClause, FaultPlan
-    from .dispatcher import JetsDispatcher, JetsServiceConfig
-    from .worker import WorkerAgent
-
     tasks = TaskList.from_lines(_campaign_lines(config))
     # The default job_id sequence is process-global, so re-parsing the
     # same lines yields fresh ids every time; the equivalence comparison
@@ -584,15 +538,14 @@ def _campaign_run(
     for i, job in enumerate(tasks.jobs):
         job.job_id = f"t{i:04d}"
 
-    env = Environment(order=SeededOrder(config.seed))
-    platform = Platform(
+    run = Run(
         generic_cluster(
             nodes=config.nodes, cores_per_node=config.cores_per_node
         ),
-        env=env,
-        seed=config.seed,
+        config.seed,
+        judged=False,
     )
-    journal = RunJournal(journal_path, env=env)
+    journal = RunJournal(journal_path, env=run.env)
     journal.run_begin(
         machine="generic",
         nodes=config.nodes,
@@ -603,26 +556,12 @@ def _campaign_run(
         cores_per_node=config.cores_per_node,
         stage=False,
     )
-    dispatcher = JetsDispatcher(
-        platform,
-        JetsServiceConfig(),
-        expected_workers=config.nodes,
-        journal=journal,
+    dispatcher = run.start_dispatcher(JetsServiceConfig(), journal=journal)
+    workers = run.start_pilots(
+        heartbeat_interval=dispatcher.config.heartbeat_interval
     )
-    dispatcher.start()
-    workers = []
-    for node in platform.nodes:
-        agent = WorkerAgent(
-            platform,
-            node,
-            dispatcher.endpoint,
-            heartbeat_interval=dispatcher.config.heartbeat_interval,
-        )
-        workers.append(agent)
-        agent.start()
-    engine = None
+    engine = ChaosEngine(run.platform, lambda: workers)
     if crash_at is not None:
-        engine = ChaosEngine(platform, lambda: workers)
         engine.start(
             FaultPlan(
                 clauses=(
@@ -637,35 +576,23 @@ def _campaign_run(
         )
     dispatcher.submit_many(tasks)
 
-    events = [dispatcher.drained, env.timeout(config.until)]
-    if engine is not None:
-        events.append(engine.crashed)
-    env.run(env.any_of(events))
-    drained = dispatcher.drained.triggered
-    if engine is not None and engine.crashed.triggered and not drained:
+    drained = run.drain(config.until, faults=(engine,), crash=engine.crashed)
+    if engine.crashed.triggered and not drained:
         journal.abandon()  # dispatcher death: the unflushed tail is lost
-        env.close()
-        return None, True, env.now
-    t_drain = env.now
-    if engine is not None:
-        engine.stop()
-    if drained:
-        env.process(dispatcher.shutdown_workers(), name="campaign-shutdown")
-        env.run(
-            until=env.now + 10 * dispatcher.config.heartbeat_interval + 1.0
-        )
+        run.env.close()
+        return None, run.stopped_at
     jobs_failed = sum(1 for c in dispatcher.completed if not c.ok)
     journal.run_end(
         ok=drained and jobs_failed == 0,
-        completed=sum(1 for c in dispatcher.completed if c.ok),
+        completed=len(dispatcher.completed) - jobs_failed,
         failed=jobs_failed,
     )
     journal.close()
     accounting = {
         c.job.job_id: (c.ok, c.job.attempts) for c in dispatcher.completed
     }
-    env.close()
-    return accounting, False, t_drain
+    run.env.close()
+    return accounting, run.stopped_at
 
 
 def _check_equivalence(
@@ -702,53 +629,51 @@ def _check_equivalence(
 
 def crash_equivalence_campaign(
     config: ResumeCampaignConfig, progress=None
-) -> CampaignReport:
+) -> CrashCampaignReport:
     """Crash at N seeded points, resume each, compare against baseline."""
     journal_dir = config.journal_dir or tempfile.mkdtemp(prefix="jets-resume-")
     os.makedirs(journal_dir, exist_ok=True)
 
     baseline_path = os.path.join(journal_dir, "baseline.journal")
-    baseline, crashed, t_drain = _campaign_run(config, baseline_path)
-    assert not crashed and baseline is not None
-    report = CampaignReport(
-        config=config, journal_dir=journal_dir, baseline_drain=t_drain
-    )
+    baseline, t_drain = _campaign_run(config, baseline_path)
+    assert baseline is not None  # no crash clause, so no crash
 
-    for k in range(config.crash_points):
+    def crash_point(k: int) -> CampaignPoint:
         crash_at = t_drain * (k + 1) / (config.crash_points + 1)
         path = os.path.join(journal_dir, f"crash{k:03d}.journal")
+        accounting, _ = _campaign_run(config, path, crash_at)
         point = CampaignPoint(
-            index=k, crash_at=crash_at, crashed=False, resubmitted=0
+            index=k, crash_at=crash_at, crashed=accounting is None,
+            resubmitted=0,
         )
-        accounting, point.crashed, _ = _campaign_run(config, path, crash_at)
         if not point.crashed:
             # Drained before the seeded crash landed (possible right at
             # the drain edge): the run is the baseline, compare directly.
             _check_equivalence(baseline, accounting, (), point.problems)
-        else:
-            resume_report = resume_run(path, until=config.until)
-            point.resubmitted = resume_report.resubmitted
-            point.problems.extend(resume_report.problems)
-            ledger = load_ledger(path)
-            if not ledger.clean:
-                point.problems.append("journal not clean after resume")
-            final: dict[str, tuple[bool, int]] = {}
-            for job in ledger.jobs.values():
-                if not job.settled:
-                    point.problems.append(
-                        f"{job.job_id}: unsettled after resume "
-                        f"({job.status})"
-                    )
-                    continue
-                final[job.job_id] = (job.status == "done", job.attempts)
-            _check_equivalence(
-                baseline, final, resume_report.resubmitted_ids,
-                point.problems,
-            )
-        report.points.append(point)
-        if progress is not None:
-            progress(point)
-    return report
+            return point
+        resume_report = resume_run(path, until=config.until)
+        point.resubmitted = resume_report.resubmitted
+        point.problems.extend(resume_report.problems)
+        ledger = load_ledger(path)
+        if not ledger.clean:
+            point.problems.append("journal not clean after resume")
+        final: dict[str, tuple[bool, int]] = {}
+        for job in ledger.jobs.values():
+            if not job.settled:
+                point.problems.append(
+                    f"{job.job_id}: unsettled after resume ({job.status})"
+                )
+                continue
+            final[job.job_id] = (job.status == "done", job.attempts)
+        _check_equivalence(
+            baseline, final, resume_report.resubmitted_ids, point.problems
+        )
+        return point
+
+    report = CrashCampaignReport(
+        config, journal_dir=journal_dir, baseline_drain=t_drain
+    )
+    return run_campaign(report, config.crash_points, crash_point, progress)
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -818,21 +743,19 @@ def resume_main(argv: Optional[Sequence[str]] = None) -> int:
         )
 
         def progress(point: CampaignPoint) -> None:
-            if args.verbose or not point.ok:
-                status = "ok" if point.ok else "FAIL"
-                kind = "crashed" if point.crashed else "drained first"
-                print(
-                    f"point {point.index:3d} t={point.crash_at:8.3f} "
-                    f"{kind}, resubmitted={point.resubmitted} {status}"
-                )
-                for problem in point.problems[:10]:
-                    print(f"    {problem}")
+            kind = "crashed" if point.crashed else "drained first"
+            print_result(
+                point,
+                f"point {point.index:3d} t={point.crash_at:8.3f} "
+                f"{kind}, resubmitted={point.resubmitted}",
+                args.verbose,
+            )
 
         report = crash_equivalence_campaign(config, progress)
         failed = len(report.failures)
-        crashes = sum(1 for p in report.points if p.crashed)
+        crashes = sum(1 for p in report.results if p.crashed)
         print(
-            f"jets resume --verify: {len(report.points)} crash points "
+            f"jets resume --verify: {len(report.results)} crash points "
             f"({crashes} crashed+resumed) over a {config.jobs}-job run "
             f"draining at t={report.baseline_drain:.1f}s — "
             + ("all equivalent" if report.ok else f"{failed} FAILED")

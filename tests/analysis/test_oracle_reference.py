@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.chaos as chaos
-from repro.analysis import protocol
+from repro.analysis import campaign, protocol
 from repro.analysis.lifecycle import MACHINES
 from repro.analysis.protocol import (
     CHANNEL_HYDRA,
@@ -700,8 +700,9 @@ class TestChaosPlansMatchReference:
                 wires[-1][1].append(ev)
                 super().tap(ev)
 
-        monkeypatch.setattr(chaos, "TraceValidator", RecordingTraceValidator)
-        monkeypatch.setattr(chaos, "SessionValidator",
+        monkeypatch.setattr(campaign, "TraceValidator",
+                            RecordingTraceValidator)
+        monkeypatch.setattr(campaign, "SessionValidator",
                             RecordingSessionValidator)
         config = chaos.ChaosConfig()
         for index in range(20):

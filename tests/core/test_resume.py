@@ -5,11 +5,11 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.campaign import derive_seed
 from repro.core.journal import RunJournal
 from repro.core.resume import (
     JournalError,
     ResumeCampaignConfig,
-    _segment_seed,
     crash_equivalence_campaign,
     load_ledger,
     read_journal,
@@ -199,10 +199,11 @@ class TestRespec:
         assert spec.attempts == 2
 
     def test_segment_seed_differs_per_segment(self):
-        assert _segment_seed(7, 0) == 7
-        assert _segment_seed(7, 1) != 7
-        assert _segment_seed(7, 1) != _segment_seed(7, 2)
-        assert _segment_seed(7, 1) == _segment_seed(7, 1)
+        # Resume segment s >= 1 runs at derive_seed(header seed, s).
+        assert derive_seed(7, 1) != 7
+        assert derive_seed(7, 1) != derive_seed(7, 2)
+        assert derive_seed(7, 1) == derive_seed(7, 1)
+        assert derive_seed(0, 1) != 0  # never the FIFO baseline
 
 
 class TestResumeRun:
@@ -235,9 +236,9 @@ class TestCrashEquivalence:
         )
         report = crash_equivalence_campaign(config)
         assert report.ok, [(p.index, p.problems) for p in report.failures]
-        assert len(report.points) == 5
-        assert any(p.crashed for p in report.points)
-        for point in report.points:
+        assert len(report.results) == 5
+        assert any(p.crashed for p in report.results)
+        for point in report.results:
             if not point.crashed:
                 continue
             # Each crashed journal drained clean after resume.

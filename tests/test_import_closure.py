@@ -27,6 +27,7 @@ with session(stream=True):
 
 NOT_ON_RUN_PATH = (
     "networkx",
+    "repro.analysis.campaign",
     "repro.analysis.framework",
     "repro.analysis.tracecheck",
     "repro.bench.harness",
