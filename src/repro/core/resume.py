@@ -506,6 +506,14 @@ class CrashCampaignReport(CampaignReport):
     baseline_drain: float = 0.0
 
 
+#: Records per fsync batch in the campaign's journals.  The dispatcher
+#: forces the submission batch to disk, and at campaign sizes the launch
+#: and done records after it would never fill a default 1,024-record
+#: batch before the crash: every point would resubmit every job and the
+#: skip path would never run.
+CAMPAIGN_BATCH_RECORDS = 8
+
+
 def _campaign_lines(config: ResumeCampaignConfig) -> list[str]:
     """Deterministic task mix for the campaign workload."""
     lines = []
@@ -545,7 +553,9 @@ def _campaign_run(
         config.seed,
         judged=False,
     )
-    journal = RunJournal(journal_path, env=run.env)
+    journal = RunJournal(
+        journal_path, env=run.env, batch_records=CAMPAIGN_BATCH_RECORDS
+    )
     journal.run_begin(
         machine="generic",
         nodes=config.nodes,

@@ -238,6 +238,11 @@ class TestCrashEquivalence:
         assert report.ok, [(p.index, p.problems) for p in report.failures]
         assert len(report.results) == 5
         assert any(p.crashed for p in report.results)
+        # Some crash point has settled jobs on disk, so its resume skips
+        # them: the skip path runs, not only the resubmit path.
+        assert any(
+            p.crashed and p.resubmitted < config.jobs for p in report.results
+        )
         for point in report.results:
             if not point.crashed:
                 continue
