@@ -1,38 +1,29 @@
-"""One campaign harness: explore, chaos and resume build, drain and judge
-their runs here.
+"""One campaign harness for ``jets explore``, ``jets chaos`` and ``jets
+resume --verify``: the blocks every campaign run is built, drained and
+judged with (the dispatcher must keep short jobs running while pilots
+die, paper Section 6.1.5, Fig. 10).
 
-JETS's dispatcher has to keep many short jobs running while its pilots
-die (paper Section 6.1.5, Fig. 10).  Three seeded campaigns hold the
-control plane to that: ``jets explore`` (:mod:`.explore`), ``jets
-chaos`` (:mod:`repro.core.chaos`) and ``jets resume --verify``
-(:mod:`repro.core.resume`).  Every run of each goes through the blocks
-below, in the three parts of a pilot system:
-
-* provisioning: :func:`derive_seed` gives run ``index`` of a campaign
-  its seed; :class:`Run` builds the platform on the engine that seed
-  selects, with the verdict's oracles attached, then starts the
-  dispatcher and one pilot per node;
-* dispatch: :func:`smoke_jobs` is the job mix explore and chaos submit,
-  and :meth:`Run.drain` runs the batch until it drains, the watchdog
-  fires or a crash lands, stops the faults, shuts the workers down and
-  lets the shutdown settle;
-* judging: :meth:`Run.judge` gives the common verdict and closes the
-  run, and :func:`run_campaign` is the index loop that fills one
+* provisioning: :func:`derive_seed` and :class:`Run`, which builds the
+  platform on its seed's engine with the verdict's oracles attached and
+  starts the dispatcher and one pilot per node;
+* dispatch: the :func:`smoke_jobs` mix and :meth:`Run.drain`;
+* judging: :meth:`Run.judge`, and :func:`run_campaign` filling one
   :class:`CampaignReport`.
 
-Each campaign keeps only its own parts: explore its outcome digest,
-kill draw and ``attach`` hook; chaos its recovery policy, pilot keeper,
-staging and fault engine; resume its ledger, journal and ``resume.*``
-records.
+Each campaign keeps only its own parts: explore its digest, kill draw
+and ``attach`` hook; chaos its recovery policy, keeper, staging and
+fault engine; resume its ledger, journal and ``resume.*`` records.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 from ..apps.synthetic import BarrierSleepBarrier, SleepProgram
+from ..cluster.machine import generic_cluster
 from ..cluster.platform import Platform
 from ..core.dispatcher import JetsDispatcher
 from ..core.tasklist import JobSpec
@@ -43,12 +34,12 @@ from .tracecheck import TraceValidator
 
 __all__ = [
     "derive_seed",
+    "SmokeConfig",
     "smoke_jobs",
     "Run",
     "CampaignReport",
     "run_campaign",
-    "add_smoke_flags",
-    "smoke_config",
+    "parse_smoke_args",
     "print_result",
 ]
 
@@ -64,8 +55,31 @@ def derive_seed(base: int, index: int) -> int:
     return (base * 1_000_003 + index) & ((1 << 63) - 1) or 1
 
 
-def smoke_jobs(config, pin_ids: bool = False) -> list[JobSpec]:
-    """The serial/MPI job mix of the explore and chaos configurations.
+@dataclass(frozen=True)
+class SmokeConfig:
+    """The small configuration explore and chaos run: 4 workers on
+    2-core nodes and a serial/MPI job mix with 2-node MPI jobs, so any
+    single injected worker loss leaves enough capacity to drain."""
+
+    workers: int = 4
+    cores_per_node: int = 2
+    serial_tasks: int = 4
+    mpi_tasks: int = 2
+    mpi_nodes: int = 2
+    seed: int = 0
+    heartbeat: float = 0.5
+    until: float = 900.0
+    max_attempts: int = 6
+
+    def machine(self):
+        """One ``cores_per_node``-core node per worker."""
+        return generic_cluster(
+            nodes=self.workers, cores_per_node=self.cores_per_node
+        )
+
+
+def smoke_jobs(config: SmokeConfig, pin_ids: bool = False) -> list[JobSpec]:
+    """The serial/MPI job mix of a smoke configuration.
 
     ``pin_ids`` names the jobs ``job0``, ``job1``, ... instead of
     drawing ids from the process-wide sequence, so the run is a pure
@@ -73,33 +87,28 @@ def smoke_jobs(config, pin_ids: bool = False) -> list[JobSpec]:
     """
     jobs = []
     for i in range(config.serial_tasks + config.mpi_tasks):
-        if i < config.serial_tasks:
-            shape = dict(
-                program=SleepProgram(0.3 + 0.2 * (i % 3)), nodes=1, mpi=False
-            )
-        else:
-            shape = dict(
-                program=BarrierSleepBarrier(0.8),
-                nodes=config.mpi_nodes,
-                ppn=config.cores_per_node,
-                mpi=True,
-            )
-        if pin_ids:
-            shape["job_id"] = f"job{i}"
-        jobs.append(JobSpec(max_attempts=config.max_attempts, **shape))
+        serial = i < config.serial_tasks
+        jobs.append(JobSpec(
+            program=(
+                SleepProgram(0.3 + 0.2 * (i % 3)) if serial
+                else BarrierSleepBarrier(0.8)
+            ),
+            nodes=1 if serial else config.mpi_nodes,
+            ppn=1 if serial else config.cores_per_node,
+            mpi=not serial,
+            max_attempts=config.max_attempts,
+            **({"job_id": f"job{i}"} if pin_ids else {}),
+        ))
     return jobs
 
 
 class Run:
     """One campaign run: a platform, its dispatcher and its pilots.
 
-    Seed 0 runs FIFO on the calendar engine and any other seed under
-    :class:`~repro.simkernel.SeededOrder` on the ordered heap; the two
-    engines realize one FIFO contract, so every seed-0 run doubles as a
-    cross-engine check.  ``judged`` attaches the verdict's oracles
-    before anything runs: the trace validator subscribes to the
-    platform trace and the session validator is the network tap, so
-    neither needs the records or the messages retained.
+    Seed 0 runs FIFO on the calendar engine, any other seed under
+    :class:`~repro.simkernel.SeededOrder`; both engines keep one FIFO
+    contract, so a seed-0 run doubles as a cross-engine check.
+    ``judged`` attaches the streaming oracles before anything runs.
     """
 
     def __init__(self, machine, seed: int, judged: bool = True):
@@ -118,39 +127,32 @@ class Run:
             self.sessions = SessionValidator()
             self.platform.network.add_tap(self.sessions.tap)
 
-    def start_dispatcher(self, service, journal=None) -> JetsDispatcher:
-        """Start the dispatcher, expecting one pilot per node."""
+    def start(
+        self, service, journal=None, pin_ids: bool = False, **agent_args
+    ) -> JetsDispatcher:
+        """Start the dispatcher, then one pilot agent per node beating
+        at the service's heartbeat.  ``pin_ids`` gives node i's agent
+        worker id i instead of one from the process-wide sequence."""
+        platform = self.platform
         self.dispatcher = JetsDispatcher(
-            self.platform,
+            platform,
             service,
-            expected_workers=len(self.platform.nodes),
+            expected_workers=len(platform.nodes),
             journal=journal,
         )
         self.dispatcher.start()
-        return self.dispatcher
-
-    def start_pilots(
-        self,
-        adopt: Optional[Callable[[WorkerAgent], None]] = None,
-        pin_ids: bool = False,
-        **agent_args,
-    ) -> list[WorkerAgent]:
-        """Start one pilot agent per node; ``adopt`` sees each before it
-        starts.  ``pin_ids`` gives node i's agent worker id i instead of
-        one from the process-wide sequence."""
-        for node in self.platform.nodes:
+        for node in platform.nodes:
             agent = WorkerAgent(
-                self.platform,
+                platform,
                 node,
                 self.dispatcher.endpoint,
+                heartbeat_interval=service.heartbeat_interval,
                 worker_id=node.node_id if pin_ids else None,
                 **agent_args,
             )
-            if adopt is not None:
-                adopt(agent)
             agent.start()
             self.agents.append(agent)
-        return self.agents
+        return self.dispatcher
 
     def drain(
         self, until: float, faults=(), crash: Optional[Event] = None
@@ -229,52 +231,42 @@ def run_campaign(report, count: int, run_one, progress=None):
     return report
 
 
-def add_smoke_flags(parser, defaults, unit: str) -> None:
-    """The seven flags ``jets explore`` and ``jets chaos`` share, with
-    defaults from the ``defaults`` config; ``unit`` names one run."""
-    parser.add_argument(
-        "--seed", type=int, default=defaults.seed,
-        help=f"base seed; {unit} 0 of seed 0 is the FIFO baseline",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=defaults.workers,
-        help="worker (node) count of the smoke configuration",
-    )
-    parser.add_argument(
-        "--serial-tasks", type=int, default=defaults.serial_tasks,
-        help="serial jobs in the workload mix",
-    )
-    parser.add_argument(
-        "--mpi-tasks", type=int, default=defaults.mpi_tasks,
-        help="MPI jobs in the workload mix",
-    )
-    parser.add_argument(
-        "--mpi-nodes", type=int, default=defaults.mpi_nodes,
-        help="nodes per MPI job (keep below --workers so kills drain)",
-    )
-    parser.add_argument(
-        "--until", type=float, default=defaults.until,
-        help=f"per-{unit} drain watchdog, in sim-seconds",
-    )
+#: The flags ``jets explore`` and ``jets chaos`` share besides ``-v``,
+#: with their help; ``{unit}`` names one run.
+SMOKE_FLAGS = {
+    "--seed": "base seed; {unit} 0 of seed 0 is the FIFO baseline",
+    "--workers": "worker (node) count of the smoke configuration",
+    "--serial-tasks": "serial jobs in the workload mix",
+    "--mpi-tasks": "MPI jobs in the workload mix",
+    "--mpi-nodes": "nodes per MPI job (keep below --workers so kills drain)",
+    "--until": "per-{unit} drain watchdog, in sim-seconds",
+}
+
+
+def parse_smoke_args(
+    prog, description, defaults: SmokeConfig, unit, flags, argv
+):
+    """Parse an explore or chaos command line into ``(verbose, config)``.
+
+    ``flags`` (flag -> help) and then :data:`SMOKE_FLAGS` each set the
+    config field of their name, starting from ``defaults``.  Returns
+    None, after saying why on stderr, for a config an injected kill
+    could never drain.
+    """
+    parser = argparse.ArgumentParser(prog=prog, description=description)
+    for flag, text in {**flags, **SMOKE_FLAGS}.items():
+        default = getattr(defaults, flag[2:].replace("-", "_"))
+        parser.add_argument(
+            flag, type=type(default), default=default,
+            help=text.format(unit=unit),
+        )
     parser.add_argument(
         "-v", "--verbose", action="store_true",
         help=f"print one line per {unit}",
     )
-
-
-def smoke_config(prog: str, cls, args, **fields):
-    """The ``cls`` config the shared flags and ``fields`` give, or None
-    (after saying why on stderr) when an injected kill could never
-    drain it."""
-    config = cls(
-        workers=args.workers,
-        serial_tasks=args.serial_tasks,
-        mpi_tasks=args.mpi_tasks,
-        mpi_nodes=args.mpi_nodes,
-        seed=args.seed,
-        until=args.until,
-        **fields,
-    )
+    args = vars(parser.parse_args(argv))
+    verbose = args.pop("verbose")
+    config = replace(defaults, **args)
     if config.mpi_tasks and config.mpi_nodes >= config.workers:
         print(
             f"{prog}: --mpi-nodes must stay below --workers or an "
@@ -282,7 +274,7 @@ def smoke_config(prog: str, cls, args, **fields):
             file=sys.stderr,
         )
         return None
-    return config
+    return verbose, config
 
 
 def print_result(result, line: str, verbose: bool) -> None:

@@ -25,24 +25,14 @@ the explorer always re-validates the historical schedule too.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..cluster.machine import generic_cluster
+from ..core.chaos import ChaosEngine, FaultClause, FaultPlan
 from ..core.dispatcher import JetsServiceConfig
 from ..obs.export import CanonicalDigest
 from ..simkernel import SeededOrder
-from .campaign import (
-    CampaignReport,
-    Run,
-    add_smoke_flags,
-    derive_seed,
-    print_result,
-    run_campaign,
-    smoke_config,
-    smoke_jobs,
-)
+from . import campaign
 from .protocol import WireMessage, wire_message
 
 __all__ = [
@@ -56,25 +46,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ExploreConfig:
-    """Bounds of one exploration campaign.
+class ExploreConfig(campaign.SmokeConfig):
+    """Bounds of one exploration campaign on the smoke configuration."""
 
-    The default workload is the CI smoke configuration: 4 single-slot...
-    workers on 2-core nodes, a serial/MPI job mix with 2-node MPI jobs,
-    so any single injected worker loss always leaves enough capacity to
-    drain.
-    """
-
-    workers: int = 4
-    cores_per_node: int = 2
-    serial_tasks: int = 4
-    mpi_tasks: int = 2
-    mpi_nodes: int = 2
     schedules: int = 200
-    seed: int = 0
-    heartbeat: float = 0.5
-    until: float = 900.0
-    max_attempts: int = 6
     #: Inject worker kills on odd schedules.  The sanitizer's race-
     #: confirmation loop turns this off: it compares outcome digests
     #: across schedules, and a kill is a *real* behavioural difference
@@ -126,26 +101,19 @@ def run_schedule(
     observation-only; the schedule itself is fully determined by
     ``config`` and ``index``.
     """
-    seed = derive_seed(config.seed, index)
-    run = Run(
-        generic_cluster(
-            nodes=config.workers, cores_per_node=config.cores_per_node
-        ),
-        seed,
-    )
-    env = run.env
+    seed = campaign.derive_seed(config.seed, index)
+    run = campaign.Run(config.machine(), seed)
     digest = CanonicalDigest()
     run.platform.trace.subscribe(digest.feed)
     if attach is not None:
-        attach(env, run.platform)
-    run.start_dispatcher(JetsServiceConfig(heartbeat_interval=config.heartbeat))
+        attach(run.env, run.platform)
     # Pinned worker and job ids: the default ids draw from process-wide
     # counters, which would make the outcome digest depend on how many
     # this *process* built before.
-    agents = run.start_pilots(
-        pin_ids=True, heartbeat_interval=config.heartbeat
+    dispatcher = run.start(
+        JetsServiceConfig(heartbeat_interval=config.heartbeat), pin_ids=True
     )
-    run.dispatcher.submit_many(smoke_jobs(config, pin_ids=True))
+    dispatcher.submit_many(campaign.smoke_jobs(config, pin_ids=True))
 
     # Odd schedules inject one worker loss at a schedule-derived point:
     # the draw sweeps the kill across the register/ready window, the
@@ -153,6 +121,7 @@ def run_schedule(
     killed_worker: Optional[int] = None
     kill_time: Optional[float] = None
     if config.faults and index % 2 == 1:
+        agents = run.agents
         draw = SeededOrder(
             (seed * 0x9E3779B97F4A7C15 + 0x5DEECE66D) & ((1 << 63) - 1) or 1
         )
@@ -161,20 +130,18 @@ def run_schedule(
         # The window spans register/ready, wire-up and app phases of an
         # unperturbed run (which drains in ~1.6 sim-seconds).
         kill_time = 0.02 + 1.6 * draw.tiebreak(None)  # type: ignore[arg-type]
-        victim = int(
+        victim = agents[int(
             draw.tiebreak(None) * len(agents)  # type: ignore[arg-type]
-        ) % len(agents)
-        killed_worker = agents[victim].worker_id
-
-        def killer(agent=agents[victim], at=kill_time):
-            yield env.timeout(at)
-            if agent.alive:
-                run.platform.trace.log(
-                    "fault.kill", {"worker": agent.worker_id}
-                )
-                agent.kill()
-
-        env.process(killer(), name="explore-kill")
+        ) % len(agents)]
+        killed_worker = victim.worker_id
+        # The kill may land after the drain; the engine stays armed
+        # through the shutdown that follows, as the victim does.
+        ChaosEngine(run.platform, lambda: agents).start(FaultPlan((
+            FaultClause(
+                kind="worker_kill", mode="scheduled", times=(kill_time,),
+                nodes=(victim.node.node_id,),
+            ),
+        )))
 
     drained = run.drain(config.until)
     return ScheduleResult(
@@ -189,10 +156,10 @@ def run_schedule(
     )
 
 
-def explore(config: ExploreConfig, progress=None) -> CampaignReport:
+def explore(config: ExploreConfig, progress=None) -> campaign.CampaignReport:
     """Run the whole campaign; ``progress`` is called per schedule."""
-    return run_campaign(
-        CampaignReport(config),
+    return campaign.run_campaign(
+        campaign.CampaignReport(config),
         config.schedules,
         lambda index: run_schedule(config, index),
         progress,
@@ -201,25 +168,19 @@ def explore(config: ExploreConfig, progress=None) -> CampaignReport:
 
 def explore_main(argv: Optional[Sequence[str]] = None) -> int:
     """``jets explore`` — exit 0 if every schedule passed, 1 otherwise."""
-    parser = argparse.ArgumentParser(
-        prog="jets explore",
-        description=(
-            "Systematically permute event schedules (and inject worker "
-            "loss) on a small JETS configuration, validating drain, "
-            "trace and wire-protocol conformance after every schedule."
-        ),
+    parsed = campaign.parse_smoke_args(
+        "jets explore",
+        "Systematically permute event schedules (and inject worker "
+        "loss) on a small JETS configuration, validating drain, "
+        "trace and wire-protocol conformance after every schedule.",
+        ExploreConfig(),
+        "schedule",
+        {"--schedules": "number of distinct schedules to run (default 200)"},
+        argv,
     )
-    parser.add_argument(
-        "--schedules", type=int, default=200,
-        help="number of distinct schedules to run (default 200)",
-    )
-    add_smoke_flags(parser, ExploreConfig(), "schedule")
-    args = parser.parse_args(argv)
-    config = smoke_config(
-        "jets explore", ExploreConfig, args, schedules=args.schedules
-    )
-    if config is None:
+    if parsed is None:
         return 2
+    verbose, config = parsed
 
     def progress(result: ScheduleResult) -> None:
         kill = (
@@ -227,11 +188,11 @@ def explore_main(argv: Optional[Sequence[str]] = None) -> int:
             if result.killed_worker is not None
             else ""
         )
-        print_result(
+        campaign.print_result(
             result,
             f"schedule {result.index:4d} seed={result.seed}{kill} "
             f"wire={result.wire_count}",
-            args.verbose,
+            verbose,
         )
 
     report = explore(config, progress)

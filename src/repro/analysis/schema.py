@@ -20,6 +20,7 @@ a dynamic category escapes both the registry and the static checker.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping, NamedTuple, Optional
@@ -79,20 +80,33 @@ __all__ = [
 ]
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 class Kind(NamedTuple):
     """What a payload value may be: one of ``types`` exactly (so a bool
-    is not an int); a map kind's every value is one of ``values``."""
+    is not an int); a map kind's every value is one of ``values``.  An
+    int where a float may stand must fit in a float, as a record's
+    ``t`` must: a reader formats it as one."""
 
     name: str
     types: frozenset
     values: frozenset = frozenset()
 
     def admits(self, value: Any) -> bool:
-        if type(value) not in self.types:
+        if not _fits(value, self.types):
             return False
         return not self.values or all(
-            type(item) in self.values for item in value.values()
+            _fits(item, self.values) for item in value.values()
         )
+
+
+def _fits(value: Any, types: frozenset) -> bool:
+    kind = type(value)
+    return kind in types and (
+        kind is not int or float not in types or abs(value) <= _FLOAT_MAX
+    )
+
 
 
 ID = Kind("an id (int or str)", frozenset({int, str}))
@@ -149,8 +163,12 @@ class CategorySpec:
 
     @cached_property
     def _types(self) -> dict[str, frozenset]:
-        """The pass path's kinds; a map never passes there."""
-        return {k: kind.types - {dict} for k, kind in self.kinds.items()}
+        """The pass path's kinds.  A map never passes there, nor an int
+        where a float may stand: :meth:`Kind.admits` checks it fits."""
+        return {
+            k: kind.types - ({dict, int} if float in kind.types else {dict})
+            for k, kind in self.kinds.items()
+        }
 
     def problems(self, data: Any) -> list[tuple[str, str]]:
         """``(code, message)`` for every way ``data`` breaks this spec:

@@ -391,13 +391,12 @@ def _fig09_mpi512(quick: bool) -> dict:
 
 def _chaos_mix(quick: bool) -> dict:
     """A slice of the chaos campaign: all-kind fault plans with recovery."""
-    from ..core.chaos import ChaosConfig, run_chaos_plan
+    from ..core.chaos import ChaosConfig, chaos_campaign
     from ..obs import session
 
     plans = 5 if quick else 20
-    config = ChaosConfig()
     with session() as s:
-        results = [run_chaos_plan(config, i) for i in range(plans)]
+        results = chaos_campaign(ChaosConfig(plans=plans)).results
     out = _collect(s.runs)
     out.update(
         plans=plans,
@@ -409,13 +408,12 @@ def _chaos_mix(quick: bool) -> dict:
 
 def _explore_slice(quick: bool) -> dict:
     """A slice of the schedule explorer: permuted event orders + oracles."""
-    from ..analysis.explore import ExploreConfig, run_schedule
+    from ..analysis.explore import ExploreConfig, explore
     from ..obs import session
 
     schedules = 10 if quick else 40
-    config = ExploreConfig()
     with session() as s:
-        results = [run_schedule(config, i) for i in range(schedules)]
+        results = explore(ExploreConfig(schedules=schedules)).results
     out = _collect(s.runs)
     out.update(
         schedules=schedules,

@@ -32,22 +32,11 @@ permanently failed == submitted).
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional, Sequence
 
-from ..analysis.campaign import (
-    CampaignReport,
-    Run,
-    add_smoke_flags,
-    derive_seed,
-    print_result,
-    run_campaign,
-    smoke_config,
-    smoke_jobs,
-)
+from ..analysis import campaign
 from ..analysis.protocol import channel_for_service
-from ..cluster.machine import generic_cluster
 from ..mpi.hydra import PROXY_IMAGE
 from .dispatcher import JetsServiceConfig
 from .recovery import PilotKeeper, RecoveryPolicy
@@ -475,25 +464,21 @@ class ChaosEngine:
 
 
 @dataclass(frozen=True)
-class ChaosConfig:
+class ChaosConfig(campaign.SmokeConfig):
     """Bounds of one ``jets chaos`` campaign.
 
-    The workload mirrors ``jets explore``'s smoke configuration, scaled
-    up slightly so recovery has something to chew on; the recovery
-    machinery (backoff, hung-job deadlines, gang cancel, reconciliation,
-    keeper respawn/quarantine) is always enabled.
+    The smoke configuration scaled up slightly so recovery has something
+    to chew on; the recovery machinery (backoff, hung-job deadlines,
+    gang cancel, reconciliation, keeper respawn/quarantine) is always
+    enabled.
     """
 
     workers: int = 6
-    cores_per_node: int = 2
     serial_tasks: int = 12
     mpi_tasks: int = 3
-    mpi_nodes: int = 2
-    plans: int = 200
-    seed: int = 0
-    heartbeat: float = 0.5
     until: float = 600.0
     max_attempts: int = 10
+    plans: int = 200
     #: Faults only fire inside [0, fault_window]; the tail of the run is
     #: fault-free so every plan converges.
     fault_window: float = 30.0
@@ -520,7 +505,7 @@ class PlanResult:
         return self.drained and not self.problems
 
 
-class ChaosReport(CampaignReport):
+class ChaosReport(campaign.CampaignReport):
     """Everything one chaos campaign produced."""
 
     def kinds_exercised(self) -> dict[str, int]:
@@ -596,13 +581,8 @@ def run_chaos_plan(
     """Execute and validate one chaos plan on the smoke configuration."""
     if plan is None:
         plan = plan_for_index(index, config.fault_window)
-    seed = derive_seed(config.seed, index)
-    run = Run(
-        generic_cluster(
-            nodes=config.workers, cores_per_node=config.cores_per_node
-        ),
-        seed,
-    )
+    seed = campaign.derive_seed(config.seed, index)
+    run = campaign.Run(config.machine(), seed)
     recovery = RecoveryPolicy(
         backoff_base=0.05,
         backoff_factor=2.0,
@@ -615,12 +595,13 @@ def run_chaos_plan(
         quarantine_period=5.0,
         zombie_grace=6.0,
     )
-    dispatcher = run.start_dispatcher(
+    staging = StagingManager(run.env, [PROXY_IMAGE])
+    dispatcher = run.start(
         JetsServiceConfig(
             heartbeat_interval=config.heartbeat, recovery=recovery
-        )
+        ),
+        staging=staging,
     )
-    staging = StagingManager(run.env, [PROXY_IMAGE])
     keeper = PilotKeeper(
         run.platform,
         dispatcher,
@@ -628,15 +609,12 @@ def run_chaos_plan(
         staging=staging,
         heartbeat_interval=config.heartbeat,
     )
-    run.start_pilots(
-        adopt=keeper.adopt,
-        staging=staging,
-        heartbeat_interval=config.heartbeat,
-    )
+    for agent in run.agents:
+        keeper.adopt(agent)
     keeper.start()
     engine = ChaosEngine(run.platform, keeper.live_agents, staging=staging)
     engine.start(plan)
-    dispatcher.submit_many(smoke_jobs(config))
+    dispatcher.submit_many(campaign.smoke_jobs(config))
     drained = run.drain(config.until, faults=(engine, keeper))
 
     jobs_ok = sum(1 for c in dispatcher.completed if c.ok)
@@ -668,7 +646,7 @@ def run_chaos_plan(
 
 def chaos_campaign(config: ChaosConfig, progress=None) -> ChaosReport:
     """Run the whole campaign; ``progress`` is called per plan."""
-    return run_campaign(
+    return campaign.run_campaign(
         ChaosReport(config),
         config.plans,
         lambda index: run_chaos_plan(config, index),
@@ -678,44 +656,37 @@ def chaos_campaign(config: ChaosConfig, progress=None) -> ChaosReport:
 
 def chaos_main(argv: Optional[Sequence[str]] = None) -> int:
     """``jets chaos`` — exit 0 if every plan passed, 1 otherwise."""
-    parser = argparse.ArgumentParser(
-        prog="jets chaos",
-        description=(
-            "Run seeded multi-fault chaos plans (worker/proxy crashes, "
-            "stragglers, message drop/delay, partitions, staging faults) "
-            "against a small JETS configuration with recovery enabled, "
-            "validating drain, accounting, trace and wire-protocol "
-            "conformance after every plan."
-        ),
+    parsed = campaign.parse_smoke_args(
+        "jets chaos",
+        "Run seeded multi-fault chaos plans (worker/proxy crashes, "
+        "stragglers, message drop/delay, partitions, staging faults) "
+        "against a small JETS configuration with recovery enabled, "
+        "validating drain, accounting, trace and wire-protocol "
+        "conformance after every plan.",
+        ChaosConfig(),
+        "plan",
+        {
+            "--plans": "number of generated fault plans to run (default 200)",
+            "--fault-window":
+                "faults only fire in [0, WINDOW] sim-seconds (default 30)",
+        },
+        argv,
     )
-    parser.add_argument(
-        "--plans", type=int, default=200,
-        help="number of generated fault plans to run (default 200)",
-    )
-    add_smoke_flags(parser, ChaosConfig(), "plan")
-    parser.add_argument(
-        "--fault-window", type=float, default=30.0,
-        help="faults only fire in [0, WINDOW] sim-seconds (default 30)",
-    )
-    args = parser.parse_args(argv)
-    config = smoke_config(
-        "jets chaos", ChaosConfig, args,
-        plans=args.plans, fault_window=args.fault_window,
-    )
-    if config is None:
+    if parsed is None:
         return 2
+    verbose, config = parsed
 
     def progress(result: PlanResult) -> None:
         mix = "+".join(
             f"{k}:{v}" for k, v in result.injected.items() if v
         ) or "none"
-        print_result(
+        campaign.print_result(
             result,
             f"plan {result.index:4d} seed={result.seed} "
             f"faults={mix} respawns={result.respawns} "
             f"jobs={result.jobs_ok}+{result.jobs_failed}"
             f"/{result.jobs_submitted}",
-            args.verbose,
+            verbose,
         )
 
     report = chaos_campaign(config, progress)

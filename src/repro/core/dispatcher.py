@@ -213,6 +213,19 @@ class JetsDispatcher:
             self.journal.flush()
         self._check_drained()
 
+    def end_journal(self) -> None:
+        """Journal the run's end from the jobs settled so far (``ok``
+        when the batch drained with no failure) and close the journal."""
+        if self.journal is None:
+            return
+        failed = sum(1 for c in self.completed if not c.ok)
+        self.journal.run_end(
+            ok=self.drained.triggered and failed == 0,
+            completed=len(self.completed) - failed,
+            failed=failed,
+        )
+        self.journal.close()
+
     def shutdown_workers(self) -> Generator:
         """Shut the service down: abort in-flight work, stop all pilots.
 

@@ -235,14 +235,7 @@ class Simulation:
             platform.env.run(platform.env.any_of([proc, stop]))
         else:
             platform.env.run(proc)
-        if journal is not None:
-            failed_n = sum(1 for c in dispatcher.completed if not c.ok)
-            journal.run_end(
-                ok=dispatcher.drained.triggered and failed_n == 0,
-                completed=sum(1 for c in dispatcher.completed if c.ok),
-                failed=failed_n,
-            )
-            journal.close()
+        dispatcher.end_journal()
         report = self._report(
             platform, dispatcher, workers, nodes, injector_box
         )

@@ -39,13 +39,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..analysis.campaign import (
-    CampaignReport,
-    Run,
-    derive_seed,
-    print_result,
-    run_campaign,
-)
+from ..analysis import campaign
 from ..cluster.machine import (
     breadboard, eureka, generic_cluster, intrepid, surveyor,
 )
@@ -311,10 +305,10 @@ class ResumeReport:
     clean: bool
     skipped_done: int
     skipped_failed: int
-    resubmitted_ids: tuple[str, ...]
-    jobs_ok: int
-    jobs_failed: int
-    drained: bool
+    resubmitted_ids: tuple[str, ...] = ()
+    jobs_ok: int = 0
+    jobs_failed: int = 0
+    drained: bool = True
     problems: list[str] = field(default_factory=list)
 
     @property
@@ -341,11 +335,7 @@ class ResumeReport:
         )
 
 
-def resume_run(
-    path: str,
-    until: float = 600.0,
-    registry: Optional[ProgramRegistry] = None,
-) -> ResumeReport:
+def resume_run(path: str, until: float = 600.0) -> ResumeReport:
     """Resume the run journaled at ``path``; appends a new segment.
 
     A fresh dispatcher + pilots are brought up on the machine the
@@ -353,37 +343,32 @@ def resume_run(
     with it, so the resume runs in a new allocation and restages from
     scratch when the original run staged).  Settled jobs are skipped,
     in-flight ones resubmitted with attempts preserved.  Segment ``s``
-    runs at seed ``derive_seed(header seed, s)``.
+    runs at seed ``campaign.derive_seed(header seed, s)``.
     """
     ledger = load_ledger(path)
     if not ledger.meta:
         raise JournalError(f"{path}: journal has no run header")
-    skipped_done = sum(1 for j in ledger.settled() if j.status == "done")
-    skipped_failed = sum(1 for j in ledger.settled() if j.status == "failed")
+    report = ResumeReport(
+        journal=path,
+        segment=ledger.segments,
+        crash_time=ledger.crash_time,
+        clean=ledger.clean,
+        skipped_done=sum(1 for j in ledger.settled() if j.status == "done"),
+        skipped_failed=sum(1 for j in ledger.settled() if j.status == "failed"),
+    )
     if ledger.clean:
-        return ResumeReport(
-            journal=path,
-            segment=ledger.segments,
-            crash_time=ledger.crash_time,
-            clean=True,
-            skipped_done=skipped_done,
-            skipped_failed=skipped_failed,
-            resubmitted_ids=(),
-            jobs_ok=0,
-            jobs_failed=0,
-            drained=True,
-        )
+        return report
 
     # Values of the right kind can still be out of range (a zero node
     # count, a serial job on two nodes): refuse them before the journal
     # is touched.
     try:
         machine = _machine_for(ledger.meta)
-        specs = [respec(entry, registry) for entry in ledger.outstanding()]
+        specs = [respec(entry) for entry in ledger.outstanding()]
     except ValueError as exc:
         raise JournalError(f"{path}: {exc}") from None
     base_seed = int(ledger.meta.get("seed", 0))
-    run = Run(machine, derive_seed(base_seed, ledger.segments))
+    run = campaign.Run(machine, campaign.derive_seed(base_seed, ledger.segments))
     service = service_config_for(
         machine,
         policy=str(ledger.meta.get("policy", "fifo")),
@@ -408,7 +393,6 @@ def resume_run(
         stage=bool(ledger.meta.get("stage", True)),
         resume=True,
     )
-    dispatcher = run.start_dispatcher(service, journal=journal)
     staging = None
     if ledger.meta.get("stage", True):
         images = {PROXY_IMAGE.name: PROXY_IMAGE}
@@ -416,10 +400,8 @@ def resume_run(
             img = spec.program.image
             images.setdefault(img.name, img)
         staging = StagingManager(run.env, images.values())
-    run.start_pilots(
-        slots=slots,
-        staging=staging,
-        heartbeat_interval=service.heartbeat_interval,
+    dispatcher = run.start(
+        service, journal=journal, slots=slots, staging=staging
     )
 
     trace = run.platform.trace
@@ -440,28 +422,13 @@ def resume_run(
         )
     dispatcher.submit_many(specs)
 
-    drained = run.drain(until)
-    jobs_ok = sum(1 for c in dispatcher.completed if c.ok)
-    jobs_failed = len(dispatcher.completed) - jobs_ok
-    journal.run_end(
-        ok=drained and jobs_failed == 0,
-        completed=jobs_ok,
-        failed=jobs_failed,
-    )
-    journal.close()
-    return ResumeReport(
-        journal=path,
-        segment=ledger.segments,
-        crash_time=ledger.crash_time,
-        clean=False,
-        skipped_done=skipped_done,
-        skipped_failed=skipped_failed,
-        resubmitted_ids=tuple(spec.job_id for spec in specs),
-        jobs_ok=jobs_ok,
-        jobs_failed=jobs_failed,
-        drained=drained,
-        problems=run.judge(drained, until),
-    )
+    report.resubmitted_ids = tuple(spec.job_id for spec in specs)
+    report.drained = run.drain(until)
+    report.jobs_ok = sum(1 for c in dispatcher.completed if c.ok)
+    report.jobs_failed = len(dispatcher.completed) - report.jobs_ok
+    dispatcher.end_journal()
+    report.problems = run.judge(report.drained, until)
+    return report
 
 
 # -- crash-equivalence campaign -------------------------------------------------
@@ -499,7 +466,7 @@ class CampaignPoint:
 
 
 @dataclass
-class CrashCampaignReport(CampaignReport):
+class CrashCampaignReport(campaign.CampaignReport):
     """Outcome of a whole crash-equivalence campaign, one point a result."""
 
     journal_dir: str = ""
@@ -546,7 +513,7 @@ def _campaign_run(
     for i, job in enumerate(tasks.jobs):
         job.job_id = f"t{i:04d}"
 
-    run = Run(
+    run = campaign.Run(
         generic_cluster(
             nodes=config.nodes, cores_per_node=config.cores_per_node
         ),
@@ -566,11 +533,8 @@ def _campaign_run(
         cores_per_node=config.cores_per_node,
         stage=False,
     )
-    dispatcher = run.start_dispatcher(JetsServiceConfig(), journal=journal)
-    workers = run.start_pilots(
-        heartbeat_interval=dispatcher.config.heartbeat_interval
-    )
-    engine = ChaosEngine(run.platform, lambda: workers)
+    dispatcher = run.start(JetsServiceConfig(), journal=journal)
+    engine = ChaosEngine(run.platform, lambda: run.agents)
     if crash_at is not None:
         engine.start(
             FaultPlan(
@@ -587,20 +551,14 @@ def _campaign_run(
     dispatcher.submit_many(tasks)
 
     drained = run.drain(config.until, faults=(engine,), crash=engine.crashed)
+    accounting = None
     if engine.crashed.triggered and not drained:
         journal.abandon()  # dispatcher death: the unflushed tail is lost
-        run.env.close()
-        return None, run.stopped_at
-    jobs_failed = sum(1 for c in dispatcher.completed if not c.ok)
-    journal.run_end(
-        ok=drained and jobs_failed == 0,
-        completed=len(dispatcher.completed) - jobs_failed,
-        failed=jobs_failed,
-    )
-    journal.close()
-    accounting = {
-        c.job.job_id: (c.ok, c.job.attempts) for c in dispatcher.completed
-    }
+    else:
+        dispatcher.end_journal()
+        accounting = {
+            c.job.job_id: (c.ok, c.job.attempts) for c in dispatcher.completed
+        }
     run.env.close()
     return accounting, run.stopped_at
 
@@ -683,7 +641,7 @@ def crash_equivalence_campaign(
     report = CrashCampaignReport(
         config, journal_dir=journal_dir, baseline_drain=t_drain
     )
-    return run_campaign(report, config.crash_points, crash_point, progress)
+    return campaign.run_campaign(report, config.crash_points, crash_point, progress)
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -754,7 +712,7 @@ def resume_main(argv: Optional[Sequence[str]] = None) -> int:
 
         def progress(point: CampaignPoint) -> None:
             kind = "crashed" if point.crashed else "drained first"
-            print_result(
+            campaign.print_result(
                 point,
                 f"point {point.index:3d} t={point.crash_at:8.3f} "
                 f"{kind}, resubmitted={point.resubmitted}",

@@ -1,8 +1,8 @@
 """Trace exporters: JSONL dump/reload and Chrome ``trace_event`` format.
 
-* :func:`to_jsonl` / :func:`read_jsonl` — a lossless line-per-record dump
-  of the raw trace, the archival format the ``jets report`` subcommand
-  reads back.
+* :func:`to_jsonl` / :func:`iter_jsonl` — a lossless line-per-record
+  dump of the raw trace, the archival format the ``jets report``
+  subcommand reads back.
 * :func:`to_chrome_trace` — the Chrome/Perfetto ``trace_event`` JSON
   format: job attempts, their per-proxy children, and worker busy/idle
   timelines as complete events, openable in https://ui.perfetto.dev or
@@ -27,12 +27,9 @@ from .spans import RunSpans, build_spans
 
 __all__ = [
     "to_jsonl",
-    "read_jsonl",
     "iter_jsonl",
     "line_error",
     "note_unread",
-    "jsonl_runs",
-    "jsonl_perf",
     "to_chrome_trace",
     "chrome_events",
     "counter_events",
@@ -111,7 +108,8 @@ def to_jsonl(
     (kernel events processed, record count, simulated seconds — all
     seed-deterministic, never wall-clock, so same-seed dumps stay
     byte-identical) is appended as one ``{"meta": "perf", ...}`` trailer
-    line that record readers skip and :func:`jsonl_perf` collects.
+    line that record readers skip and :func:`iter_jsonl` hands to its
+    ``on_perf``.
     """
     close = False
     if isinstance(out, str):
@@ -131,16 +129,6 @@ def to_jsonl(
         if close:
             fh.close()
     return n
-
-
-def read_jsonl(
-    source: Union[str, IO[str]], run: Optional[int] = None
-) -> list[TraceRecord]:
-    """Reload trace records from a JSONL dump.
-
-    ``run`` filters to one tagged run; None returns every record.
-    """
-    return [rec for _tag, rec in iter_jsonl(source, run)]
 
 
 #: The ``{"meta": "perf"}`` trailer values ``jets report`` formats.
@@ -240,27 +228,6 @@ def note_unread(prog: str, path: str, tail=b"", skipped: int = 0) -> None:
     if skipped:
         print(f"{prog}: {path}: skipped {skipped} malformed record(s); "
               f"'jets lint-trace {path}' lists them", file=sys.stderr)
-
-
-def jsonl_runs(source: Union[str, IO[str]]) -> dict[int, list[TraceRecord]]:
-    """Group a JSONL dump's records by their ``run`` tag (0 if untagged)."""
-    runs: dict[int, list[TraceRecord]] = {}
-    for tag, rec in iter_jsonl(source):
-        runs.setdefault(tag, []).append(rec)
-    return runs
-
-
-def jsonl_perf(source: Union[str, IO[str]]) -> dict[int, dict]:
-    """Collect per-run perf trailers from a JSONL dump (may be empty).
-
-    Returns ``run -> {"events": ..., "records": ..., "sim_s": ...}`` for
-    every ``{"meta": "perf"}`` line; dumps written before the trailer
-    existed simply yield ``{}``.
-    """
-    perf: dict[int, dict] = {}
-    for _ in iter_jsonl(source, on_perf=perf.__setitem__):
-        pass
-    return perf
 
 
 def _us(t: float) -> float:

@@ -19,7 +19,7 @@ mirror the start/stop instrumentation the paper's evaluation is built on
 The builder is a single fold over the records, so it works equally as a
 live subscriber of a :class:`~repro.simkernel.Trace`, over a trace that
 kept every record, and over records re-read from a JSONL export
-(:func:`repro.obs.export.read_jsonl`).
+(:func:`repro.obs.export.iter_jsonl`).
 
 The state vocabularies and transition graphs are declared once in
 :mod:`repro.analysis.lifecycle` (this module re-exports the state

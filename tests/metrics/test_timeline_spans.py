@@ -10,7 +10,7 @@ from repro.metrics.timeline import (
     running_jobs_series,
     step_series,
 )
-from repro.obs.export import read_jsonl, to_jsonl
+from repro.obs.export import iter_jsonl, to_jsonl
 from repro.obs.spans import build_spans
 from repro.simkernel import Trace
 
@@ -74,6 +74,7 @@ class TestTimelineIdentity:
         assert running_jobs_series(spans) == running_jobs_series(trace)
         path = str(tmp_path / "t.jsonl")
         to_jsonl(trace, path)
-        assert running_jobs_series(read_jsonl(path)) == (
+        records = [rec for _run, rec in iter_jsonl(path)]
+        assert running_jobs_series(records) == (
             running_jobs_series(trace)
         )

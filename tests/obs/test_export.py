@@ -11,9 +11,7 @@ from repro.core.tasklist import TaskList
 from repro.cluster.machine import generic_cluster
 from repro.obs.export import (
     chrome_events,
-    jsonl_perf,
-    jsonl_runs,
-    read_jsonl,
+    iter_jsonl,
     sanitize,
     to_chrome_trace,
     to_jsonl,
@@ -52,7 +50,7 @@ class TestJsonlRoundTrip:
         path = str(tmp_path / "run.jsonl")
         n = to_jsonl(traced_run, path)
         assert n == len(traced_run.records)
-        back = read_jsonl(path)
+        back = [rec for _run, rec in iter_jsonl(path)]
         assert len(back) == n
         for orig, re in zip(traced_run.records, back):
             assert re.time == orig.time
@@ -63,7 +61,7 @@ class TestJsonlRoundTrip:
         path = str(tmp_path / "run.jsonl")
         to_jsonl(traced_run, path)
         live = build_spans(traced_run)
-        reloaded = build_spans(read_jsonl(path))
+        reloaded = build_spans(rec for _run, rec in iter_jsonl(path))
         assert sorted(live.jobs) == sorted(reloaded.jobs)
         for jid, job in live.jobs.items():
             other = reloaded.jobs[jid]
@@ -84,12 +82,13 @@ class TestJsonlRoundTrip:
         to_jsonl(traced_run, buf, run=0, label="a")
         to_jsonl(traced_run, buf, run=1, label="b")
         buf.seek(0)
-        runs = jsonl_runs(buf)
-        assert sorted(runs) == [0, 1]
-        assert len(runs[0]) == len(runs[1]) == len(traced_run.records)
+        runs = [run for run, _rec in iter_jsonl(buf)]
+        assert runs == [0] * len(traced_run.records) + [1] * len(
+            traced_run.records
+        )
         buf.seek(0)
-        only1 = read_jsonl(buf, run=1)
-        assert len(only1) == len(traced_run.records)
+        only1 = [run for run, _rec in iter_jsonl(buf, run=1)]
+        assert only1 == [1] * len(traced_run.records)
 
 
 class TestChromeTrace:
@@ -151,11 +150,15 @@ class TestPerfTrailer:
     def test_record_readers_skip_the_trailer(self, traced_run):
         perf = {"events": 42, "records": len(traced_run.records)}
         buf = self._dump(traced_run, perf)
-        records = read_jsonl(buf)
-        assert len(records) == len(traced_run.records)
-        buf.seek(0)
-        runs = jsonl_runs(buf)
-        assert len(runs[0]) == len(traced_run.records)
+        runs = [run for run, _rec in iter_jsonl(buf)]
+        assert runs == [0] * len(traced_run.records)
+
+    @staticmethod
+    def _perf(buf):
+        perf = {}
+        for _ in iter_jsonl(buf, on_perf=perf.__setitem__):
+            pass
+        return perf
 
     def test_jsonl_perf_collects_per_run(self, traced_run):
         buf = io.StringIO()
@@ -163,10 +166,10 @@ class TestPerfTrailer:
         to_jsonl(traced_run, buf, run=1, perf={"events": 2})
         to_jsonl(traced_run, buf, run=2)  # no trailer for this run
         buf.seek(0)
-        assert jsonl_perf(buf) == {0: {"events": 1}, 1: {"events": 2}}
+        assert self._perf(buf) == {0: {"events": 1}, 1: {"events": 2}}
 
     def test_dumps_without_trailer_yield_empty_perf(self, traced_run):
         buf = io.StringIO()
         to_jsonl(traced_run, buf)
         buf.seek(0)
-        assert jsonl_perf(buf) == {}
+        assert self._perf(buf) == {}

@@ -51,6 +51,14 @@ ROWS = [
      '{"t":1.0,"cat":"resume.begin","data":'
      '{"journal":"j","segment":1,"crash_time":"y"}}',
      "record", False),
+    ("resume-begin-huge-int-crash-time",
+     '{"t":1.0,"cat":"resume.begin","data":'
+     '{"journal":"j","segment":1,"crash_time":1' + "0" * 399 + '}}',
+     "record", False),
+    ("heartbeat-huge-int-gauge",
+     '{"t":1.0,"cat":"obs.progress","data":'
+     '{"events":1,"records":1,"gauges":{"x":1' + "0" * 399 + '}}}',
+     "record", False),
     ("heartbeat-str-gauge",
      '{"t":1.0,"cat":"obs.progress","data":'
      '{"events":1,"records":1,"gauges":{"x":"abc"}}}',
@@ -69,6 +77,8 @@ ROWS = [
      "line", False),
     ("perf-str-sim-s", '{"meta":"perf","sim_s":"y"}', "line", False),
     ("perf-list-run", '{"meta":"perf","run":[0]}', "line", False),
+    ("perf-huge-int-sim-s", '{"meta":"perf","sim_s":1' + "0" * 399 + "}",
+     "line", False),
     ("journal-str-nodes",
      '{"t":0.0,"cat":"journal.job_submitted","data":'
      '{"job":"a","mpi":false,"nodes":"x","ppn":1}}',
@@ -155,6 +165,35 @@ def test_every_command_gives_one_verdict(
     elif journal:
         code, out, err = run(["resume", str(path)], capsys)
         assert code == 2 and bad_line in err
+
+
+#: (id, journal lines): records of the right kinds whose values are out
+#: of range.  Every reader calls them valid; ``jets resume`` cannot
+#: rebuild the machine or the job from them, so it refuses the journal.
+OUT_OF_RANGE = [
+    ("header-zero-nodes", [HEADER.replace('"nodes":2', '"nodes":0'), SUBMIT]),
+    ("header-negative-nodes",
+     [HEADER.replace('"nodes":2', '"nodes":-1'), SUBMIT]),
+    ("job-zero-nodes", [HEADER, SUBMIT.replace(
+        '"mpi":false,"nodes":1', '"mpi":true,"nodes":0'
+    ).replace('"sleep 0.5"', '"1 mpi-bench 0.4"')]),
+    ("job-zero-ppn", [HEADER, SUBMIT.replace('"ppn":1', '"ppn":0')]),
+    ("serial-job-two-nodes", [HEADER, SUBMIT.replace('"nodes":1', '"nodes":2')]),
+]
+
+
+@pytest.mark.parametrize(
+    "lines", [row[1] for row in OUT_OF_RANGE],
+    ids=[row[0] for row in OUT_OF_RANGE],
+)
+def test_resume_refuses_out_of_range_values(tmp_path, capsys, lines):
+    path = tmp_path / "run.journal"
+    text = "\n".join(lines) + "\n"
+    path.write_text(text)
+    assert run(["lint-trace", str(path)], capsys)[0] == 0
+    code, out, err = run(["resume", str(path)], capsys)
+    assert code == 2 and f"jets resume: {path}: " in err
+    assert path.read_text() == text
 
 
 # -- mutated records through every command ------------------------------------
