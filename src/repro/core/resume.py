@@ -343,7 +343,8 @@ def resume_run(path: str, until: float = 600.0) -> ResumeReport:
     with it, so the resume runs in a new allocation and restages from
     scratch when the original run staged).  Settled jobs are skipped,
     in-flight ones resubmitted with attempts preserved.  Segment ``s``
-    runs at seed ``campaign.derive_seed(header seed, s)``.
+    runs at seed ``derive_seed(header seed, s)``
+    (:mod:`repro.analysis.campaign`).
     """
     ledger = load_ledger(path)
     if not ledger.meta:
