@@ -16,6 +16,7 @@ from repro.core.chaos import (
     FaultClause,
     FaultPlan,
     chaos_campaign,
+    chaos_main,
     plan_for_index,
     run_chaos_plan,
 )
@@ -293,3 +294,21 @@ class TestDispatcherCrash:
         platform.env.run(platform.env.timeout(1.0))
         assert not engine.crashed.triggered
         engine.stop()
+
+
+class TestChaosCli:
+    def test_small_campaign_exits_zero(self, capsys):
+        _reset_id_counters()
+        argv = ["--plans", "2", "--fault-window", "5", "--until", "240", "-v"]
+        assert chaos_main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("plan    0 seed=0 ") and out[0].endswith(" ok")
+        assert out[1].startswith("plan    1 seed=1 ")
+        assert out[2].startswith("jets chaos: 2 plans, ")
+        assert out[2].endswith("all passed")
+
+    def test_oversized_mpi_config_rejected(self, capsys):
+        assert chaos_main(["--plans", "1", "--mpi-nodes", "6"]) == 2
+        assert "--mpi-nodes must stay below --workers" in (
+            capsys.readouterr().err
+        )
