@@ -242,6 +242,11 @@ SMOKE_FLAGS = {
     "--until": "per-{unit} drain watchdog, in sim-seconds",
 }
 
+#: Flags that may be zero.  ``--seed`` may take any value, and every
+#: other flag must be positive: the simulator rejects a zero-node
+#: machine, job or watchdog, and a campaign of no runs would pass.
+MAY_BE_ZERO = ("--serial-tasks", "--mpi-tasks", "--fault-window")
+
 
 def parse_smoke_args(
     prog, description, defaults: SmokeConfig, unit, flags, argv
@@ -249,9 +254,10 @@ def parse_smoke_args(
     """Parse an explore or chaos command line into ``(verbose, config)``.
 
     ``flags`` (flag -> help) and then :data:`SMOKE_FLAGS` each set the
-    config field of their name, starting from ``defaults``.  Returns
-    None, after saying why on stderr, for a config an injected kill
-    could never drain.
+    config field of their name, starting from ``defaults``.  A value out
+    of range (see :data:`MAY_BE_ZERO`), or a mix of no jobs, is a usage
+    error (exit 2).  Returns None, after saying why on stderr, for a
+    config an injected kill could never drain.
     """
     parser = argparse.ArgumentParser(prog=prog, description=description)
     for flag, text in {**flags, **SMOKE_FLAGS}.items():
@@ -266,7 +272,18 @@ def parse_smoke_args(
     )
     args = vars(parser.parse_args(argv))
     verbose = args.pop("verbose")
+    for flag in {**flags, **SMOKE_FLAGS}:
+        if flag == "--seed":
+            continue
+        value = args[flag[2:].replace("-", "_")]
+        if flag in MAY_BE_ZERO:
+            if not value >= 0:
+                parser.error(f"{flag} must not be negative")
+        elif not value > 0:
+            parser.error(f"{flag} must be positive")
     config = replace(defaults, **args)
+    if config.serial_tasks + config.mpi_tasks < 1:
+        parser.error("--serial-tasks and --mpi-tasks leave no job to run")
     if config.mpi_tasks and config.mpi_nodes >= config.workers:
         print(
             f"{prog}: --mpi-nodes must stay below --workers or an "

@@ -138,6 +138,7 @@ def run_ips_batch(
 
     proc = env.process(driver(), name="ips")
     env.run(proc)
+    env.close()  # the run is over: let go of the platform
     return IpsReport(
         jobs_completed=stats["done"],
         utilization=ledger.utilization(),

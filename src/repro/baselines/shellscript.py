@@ -96,6 +96,7 @@ def run_shellscript_batch(
 
     proc = platform.env.process(driver(), name="shellscript")
     platform.env.run(proc)
+    platform.env.close()  # the run is over: let go of the platform
     return ShellScriptReport(
         jobs_completed=done["count"],
         utilization=ledger.utilization(),

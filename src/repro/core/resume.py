@@ -700,7 +700,14 @@ def build_resume_parser() -> argparse.ArgumentParser:
 
 def resume_main(argv: Optional[Sequence[str]] = None) -> int:
     """``jets resume`` — exit 0 on success, 1 on failure, 2 on usage."""
-    args = build_resume_parser().parse_args(argv)
+    parser = build_resume_parser()
+    args = parser.parse_args(argv)
+    # Each must be positive: less ends in a traceback (a machine of no
+    # nodes, an empty task list, a negative watchdog) or in a campaign
+    # of no crash points that passes.
+    for flag in ("--until", "--jobs", "--crash-points", "--nodes"):
+        if not getattr(args, flag[2:].replace("-", "_")) > 0:
+            parser.error(f"{flag} must be positive")
 
     if args.verify:
         config = ResumeCampaignConfig(

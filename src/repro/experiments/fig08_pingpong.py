@@ -60,6 +60,9 @@ def run(sizes=None, reps: int = 10, seed: int = 0) -> list[dict]:
             )
             comm = SimComm(platform.env, fabric, [0, 1])
             one_way = _pingpong(platform, comm, nbytes, reps)
+            # End the run and free its platform before the next is built.
+            platform.env.close()
+            del platform, fabric, comm
             row[f"{label}_us"] = round(one_way * 1e6, 2)
             row[f"{label}_MBps"] = (
                 round(nbytes / one_way / 1e6, 1) if nbytes >= 1024 else ""

@@ -68,6 +68,9 @@ def run_one(
     for c in service.dispatcher.completed:
         if c.ok:
             ledger.add(duration, c.job.nodes, c.t_dispatched, c.t_done)
+    # End the run as run_standalone does, so its parked loops let go of
+    # the platform before the next cell builds one.
+    platform.env.close()
     return {
         "alloc": alloc,
         "nodes_per_job": nodes_per_job,

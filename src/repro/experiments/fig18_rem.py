@@ -66,6 +66,9 @@ def _run_workflow(alloc: int, cfg: RemWorkflowConfig, seed: int) -> dict:
     # Eq. (1): NAMD wall time vs allocation time, long tail charged.
     completed = [c for c in service.dispatcher.completed if c.ok]
     namd = [c for c in completed if c.job.program.image.name == "namd2"]
+    # End the run as run_standalone does, so its parked loops let go of
+    # the platform before the next allocation builds one.
+    platform.env.close()
     if not namd:
         return {"alloc": alloc, "util": 0.0, "segments": 0}
     t0 = min(c.t_dispatched for c in namd)

@@ -58,6 +58,7 @@ def _one(alpha: float, mode: str, n: int, nbytes: int, rounds: int, seed: int) -
         )
         procs.append(env.process(body(ctx)))
     env.run(env.all_of(procs))
+    env.close()  # free the platform before the next point builds one
     return env.now
 
 

@@ -6,7 +6,8 @@
 * :func:`to_chrome_trace` — the Chrome/Perfetto ``trace_event`` JSON
   format: job attempts, their per-proxy children, and worker busy/idle
   timelines as complete events, openable in https://ui.perfetto.dev or
-  ``chrome://tracing``.
+  ``chrome://tracing``.  :class:`ChromeWriter` writes it one run at a
+  time, so a session's export holds one run's events in RAM.
 * :class:`CanonicalDigest` — a streaming *outcome* digest that ignores
   the order of records within one simulated timestamp, so two legal
   schedules of the same run compare equal exactly when they produced the
@@ -18,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from ..analysis.schema import INT, NUMBER
@@ -31,6 +33,7 @@ __all__ = [
     "line_error",
     "note_unread",
     "to_chrome_trace",
+    "ChromeWriter",
     "chrome_events",
     "counter_events",
     "counter_series",
@@ -398,6 +401,54 @@ def counter_events(
     return events
 
 
+#: The C encoder behind ``json.dumps(event)``, built once: ``json.dumps``
+#: builds one per call.  No circular-reference markers: every event is a
+#: freshly built tree of dicts and scalars.
+_encode_event = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None,
+    ": ", ", ", False, False, True,
+)
+
+
+class ChromeWriter:
+    """A Chrome ``trace_event`` document written one run at a time.
+
+    The bytes equal ``json.dump({"traceEvents": events, "displayTimeUnit":
+    "ms"}, fh)`` over every run's events in order, but only one run's
+    events are ever in RAM: :meth:`add_run` encodes each event as
+    ``json.dumps`` would as it goes, and :meth:`finish` closes the
+    document.
+    """
+
+    def __init__(self, fh: IO[str]):
+        self.fh = fh
+        #: Events written so far.
+        self.events = 0
+        fh.write('{"traceEvents": [')
+
+    def add_run(self, spans: RunSpans, run: int, label: str, registry) -> None:
+        """Append run ``run``'s span events, then its counter tracks
+        (``registry`` adds its gauges; None adds none)."""
+        self._write(chrome_events(spans, run=run, label=label))
+        self._write(
+            counter_events(
+                counter_series(spans, registry), run=run, label=label
+            )
+        )
+
+    def _write(self, events: list[dict]) -> None:
+        write = self.fh.write
+        for ev in events:
+            if self.events:
+                write(", ")
+            write("".join(_encode_event(ev, 0)))
+            self.events += 1
+
+    def finish(self) -> None:
+        """Close the event list and the document."""
+        self.fh.write('], "displayTimeUnit": "ms"}')
+
+
 def to_chrome_trace(
     sources,
     out: Union[str, IO[str]],
@@ -413,7 +464,10 @@ def to_chrome_trace(
         sources and not isinstance(sources[0], tuple)
     ):
         sources = [("", sources)]
-    events: list[dict] = []
+    if isinstance(out, str):
+        with open(out, "w") as fh:
+            return to_chrome_trace(sources, fh)
+    writer = ChromeWriter(out)
     for run, entry in enumerate(sources):
         if len(entry) == 3:
             label, src, registry = entry
@@ -421,16 +475,6 @@ def to_chrome_trace(
             label, src = entry
             registry = None
         spans = src if isinstance(src, RunSpans) else build_spans(src)
-        events.extend(chrome_events(spans, run=run, label=label))
-        events.extend(
-            counter_events(
-                counter_series(spans, registry), run=run, label=label
-            )
-        )
-    doc = {"traceEvents": events, "displayTimeUnit": "ms"}
-    if isinstance(out, str):
-        with open(out, "w") as fh:
-            json.dump(doc, fh)
-    else:
-        json.dump(doc, out)
-    return len(events)
+        writer.add_run(spans, run, label, registry)
+    writer.finish()
+    return writer.events

@@ -4,15 +4,17 @@ Experiment harnesses construct :class:`~repro.cluster.platform.Platform`
 instances deep inside their sweeps, so exporters can't be threaded
 through every call site.  Instead, an :class:`ObsSession` is installed as
 an ambient context (``with obs.session(trace_out=...)``): every platform
-built while it is active attaches its trace and metrics registry, and on
-exit the session writes the JSONL dump, the Chrome trace, and/or prints
-per-run summary reports.
+built while it is active attaches its trace and metrics registry.  Each
+run's JSONL records and Chrome events are written as the run ends, and
+on exit the session completes both files and/or prints per-run summary
+reports.
 
 Sessions nest (a stack); platforms attach to the innermost active one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 import time
@@ -22,6 +24,7 @@ from ..simkernel import Trace
 from .metrics import Registry
 
 if TYPE_CHECKING:
+    from .export import ChromeWriter
     from .progress import ProgressTracker
     from .spans import SpanBuilder
 
@@ -61,7 +64,11 @@ class ObsSession:
 
     Every run takes one path: its trace spills to ``trace_out`` when the
     run is over (or as it runs, when bounded), and the Chrome trace and
-    reports are rendered from span folds subscribed to each trace.
+    reports are rendered from span folds subscribed to each trace.  A
+    run's Chrome events go to a temporary sibling of ``chrome_out`` when
+    the run ends, and its fold is dropped unless a report needs it; the
+    file is renamed onto ``chrome_out`` at :meth:`flush`, so a session
+    that raises leaves ``chrome_out`` as it was.
     """
 
     def __init__(
@@ -90,9 +97,14 @@ class ObsSession:
         self.window = window
         self.progress_every = progress_every
         self.runs: list[tuple[str, Trace, Optional[Registry]]] = []
-        #: One span fold per attached run (same index as :attr:`runs`),
-        #: or None when no Chrome trace or report will read it.
-        self._span_builders: list[Optional[SpanBuilder]] = []
+        #: The open run's span fold, or None when no Chrome trace or
+        #: report will read it.
+        self._fold: Optional[SpanBuilder] = None
+        #: Every run's span fold (same index as :attr:`runs`), kept for
+        #: the reports only.
+        self._span_builders: list[SpanBuilder] = []
+        #: The Chrome document written so far, or None before a run ends.
+        self._chrome: Optional[ChromeWriter] = None
         self._trackers: list[ProgressTracker] = []
         #: Wall-clock stamp per attached run (for live report rendering
         #: only — never exported, so trace dumps stay deterministic).
@@ -126,7 +138,6 @@ class ObsSession:
         # logs anything.
         self._close_last()
         trace.label = label
-        builder = None
         if self.chrome_out or self.report:
             # Spans are only folded when an output will read them: span
             # state is bounded by entity count (jobs/workers), not
@@ -134,9 +145,10 @@ class ObsSession:
             # that.
             from .spans import SpanBuilder
 
-            builder = SpanBuilder()
-            trace.subscribe(builder.fold)
-        self._span_builders.append(builder)
+            self._fold = SpanBuilder()
+            trace.subscribe(self._fold.fold)
+            if self.report:
+                self._span_builders.append(self._fold)
         if self.progress_every:
             from .progress import ProgressTracker
 
@@ -150,10 +162,11 @@ class ObsSession:
         self._attach_walls.append(time.perf_counter())  # repro: noqa[DT001]
 
     def _close_last(self) -> None:
-        """Close the most recently attached trace (a no-op if closed)."""
+        """End the most recently attached run (a no-op if ended): close
+        its trace, then write its Chrome events."""
         if not self.runs:
             return
-        trace = self.runs[-1][1]
+        label, trace, registry = self.runs[-1]
         try:
             # Deterministic perf trailer (no wall-clock): same-seed
             # dumps must stay byte-identical.
@@ -163,6 +176,40 @@ class ObsSession:
             # an unwritable dump path.
             print(f"obs: cannot write {self.trace_out}: {exc}",
                   file=sys.stderr)
+        fold, self._fold = self._fold, None
+        if fold is None:
+            return
+        # A closed trace feeds no subscriber: the fold is complete.
+        trace.unsubscribe(fold.fold)
+        if not self.chrome_out:
+            return
+        try:
+            if self._chrome is None:
+                from .export import ChromeWriter
+
+                self._chrome = ChromeWriter(
+                    open(self.chrome_out + ".tmp", "w")
+                )
+            self._chrome.add_run(
+                fold.result(), len(self.runs) - 1, label, registry
+            )
+        except OSError as exc:
+            self._chrome_failed(exc)
+
+    def _chrome_failed(self, exc: OSError) -> None:
+        """Say once that the Chrome trace can't be written, and stop."""
+        print(f"obs: cannot write {self.chrome_out}: {exc}", file=sys.stderr)
+        self._discard_chrome()
+        self.chrome_out = None
+
+    def _discard_chrome(self) -> None:
+        """Delete the unfinished Chrome document, if one is open."""
+        writer, self._chrome = self._chrome, None
+        if writer is not None:
+            with contextlib.suppress(OSError):
+                writer.fh.close()
+            with contextlib.suppress(OSError):
+                os.unlink(writer.fh.name)
 
     def __enter__(self) -> "ObsSession":
         _STACK.append(self)
@@ -172,29 +219,26 @@ class ObsSession:
         _STACK.remove(self)
         if exc_type is None:
             self.flush()
+        else:
+            self._discard_chrome()
 
     def flush(self) -> None:
-        """Close the last run's trace, then render the Chrome trace and
-        the reports from the span folds."""
+        """End the last run, complete the Chrome trace and rename it onto
+        ``chrome_out``, then render the reports from the span folds."""
         if not self.runs:
             return
-        self._close_last()
-        if self.chrome_out:
-            from .export import to_chrome_trace
-
-            try:
-                to_chrome_trace(
-                    [
-                        (label, self._span_builders[i].result(), registry)
-                        for i, (label, _trace, registry) in enumerate(
-                            self.runs
-                        )
-                    ],
-                    self.chrome_out,
-                )
-            except OSError as exc:
-                print(f"obs: cannot write {self.chrome_out}: {exc}",
-                      file=sys.stderr)
+        try:
+            self._close_last()
+            if self._chrome is not None:
+                writer = self._chrome
+                writer.finish()
+                writer.fh.close()
+                os.replace(writer.fh.name, self.chrome_out)
+                self._chrome = None
+        except OSError as exc:
+            self._chrome_failed(exc)
+        finally:
+            self._discard_chrome()  # what an error left unfinished
         if self.report:
             from .report import render_report
 

@@ -197,13 +197,12 @@ class Trace:
     ``window=None`` keeps every record.  A ``window`` bounds what the
     sink holds (the high-water mark, at least one record): past it, the
     oldest records are evicted one at a time, each popped and then
-    encoded onto a segment buffer that is written to the ``spill`` file
-    every ``segment_records`` lines, or dropped and counted in
-    :attr:`dropped` when there is no spill.  Spilled lines carry the
-    archival format of :func:`record_encoder`, tagged with ``run`` and
-    ``label`` as they stand when the first line is encoded (a session
-    labels a sink after building it); ``truncate`` opens the spill for
-    writing instead of appending.
+    encoded straight onto the open ``spill`` file, or dropped and
+    counted in :attr:`dropped` when there is no spill.  Spilled lines
+    carry the archival format of :func:`record_encoder`, tagged with
+    ``run`` and ``label`` as they stand when the first line is encoded
+    (a session labels a sink after building it); ``truncate`` opens the
+    spill for writing instead of appending.
 
     Subscribers (:meth:`subscribe`) receive every record synchronously,
     in log order, exactly once, before it can be evicted.  They must not
@@ -228,7 +227,6 @@ class Trace:
         run: Optional[int] = None,
         label: str = "",
         truncate: bool = False,
-        segment_records: int = 8192,
     ):
         self.env = env
         self._subscribers: list[Callable[[TraceRecord], None]] = []
@@ -241,7 +239,6 @@ class Trace:
         self.spill_path = spill
         self.run = run
         self.label = label
-        self.segment_records = max(1, int(segment_records))
         #: Records written to the spill file so far.
         self.spilled = 0
         #: Records evicted with no spill path configured.
@@ -253,7 +250,6 @@ class Trace:
         self.closed = False
         self._truncate = truncate
         self._fh = None
-        self._segment: list[str] = []
         self._encode: Optional[Callable[[float, str, Any], str]] = None
         #: category -> records evicted (insertion-ordered, interned
         #: keys); the records held are counted when asked.
@@ -305,15 +301,13 @@ class Trace:
         encode = self._encode
         if encode is None:
             encode = self._encode = record_encoder(self.run, self.label)
-        segment = self._segment
+        write = self._open().write
         for _ in range(n):
             rec = window.popleft()
             category = rec.category
             evicted[category] = evicted.get(category, 0) + 1
-            segment.append(encode(rec.time, category, rec.data))
+            write(encode(rec.time, category, rec.data))
         self.spilled += n
-        if len(segment) >= self.segment_records:
-            self._write_segment()
 
     def _open(self):
         if self._fh is None:
@@ -321,17 +315,10 @@ class Trace:
             self._truncate = False
         return self._fh
 
-    def _write_segment(self) -> None:
-        if self._segment:
-            self._open().write("".join(self._segment))
-            self._segment.clear()
-
     def flush(self) -> None:
-        """Force the buffered spill segment onto disk (window retained)."""
-        if self.spill_path is not None:
-            self._write_segment()
-            if self._fh is not None:
-                self._fh.flush()
+        """Push the spilled lines onto disk (window retained)."""
+        if self._fh is not None:
+            self._fh.flush()
 
     def close(self, perf: Optional[dict] = None) -> None:
         """End the run: write out what the sink holds, then the trailer.
@@ -349,7 +336,6 @@ class Trace:
         if self.high_water is not None:
             self._evict(len(self.window))
         if self.spill_path is not None:
-            self._write_segment()
             fh = self._open()
             encode = self._encode or record_encoder(self.run, self.label)
             for rec in self.window:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis.explore import (
     ExploreConfig,
     explore,
@@ -102,6 +104,33 @@ class TestExploreCli:
     def test_oversized_mpi_config_rejected(self, capsys):
         rc = explore_main(["--schedules", "2", "--mpi-nodes", "4"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--schedules", "0"], "--schedules must be positive"),
+            (["--until", "-1"], "--until must be positive"),
+            (["--until", "nan"], "--until must be positive"),
+            (
+                ["--workers", "0", "--mpi-tasks", "0"],
+                "--workers must be positive",
+            ),
+            (["--mpi-tasks", "-2"], "--mpi-tasks must not be negative"),
+            (
+                ["--serial-tasks", "0", "--mpi-tasks", "0"],
+                "--serial-tasks and --mpi-tasks leave no job to run",
+            ),
+        ],
+        ids=["schedules", "until", "until-nan", "workers", "mpi-tasks",
+             "no-jobs"],
+    )
+    def test_out_of_range_flag_is_a_usage_error(self, argv, error, capsys):
+        with pytest.raises(SystemExit) as exc:
+            explore_main(["--schedules", "1", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: jets explore")
+        assert f"jets explore: error: {error}" in err
 
 
 class TestWireConversion:

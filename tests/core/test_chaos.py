@@ -312,3 +312,31 @@ class TestChaosCli:
         assert "--mpi-nodes must stay below --workers" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (
+                ["--workers", "0", "--mpi-tasks", "0"],
+                "--workers must be positive",
+            ),
+            (["--plans", "-1"], "--plans must be positive"),
+            (["--until", "-1"], "--until must be positive"),
+            (["--mpi-nodes", "0"], "--mpi-nodes must be positive"),
+            (["--fault-window", "-1"], "--fault-window must not be negative"),
+            (["--serial-tasks", "-1"], "--serial-tasks must not be negative"),
+            (
+                ["--serial-tasks", "0", "--mpi-tasks", "0"],
+                "--serial-tasks and --mpi-tasks leave no job to run",
+            ),
+        ],
+        ids=["workers", "plans", "until", "mpi-nodes", "fault-window",
+             "serial-tasks", "no-jobs"],
+    )
+    def test_out_of_range_flag_is_a_usage_error(self, argv, error, capsys):
+        with pytest.raises(SystemExit) as exc:
+            chaos_main(["--plans", "1", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: jets chaos")
+        assert f"jets chaos: error: {error}" in err

@@ -14,8 +14,10 @@ import weakref
 
 import pytest
 
-from repro.apps.synthetic import SleepProgram
-from repro.cluster.machine import generic_cluster
+from repro.apps.synthetic import BarrierSleepBarrier, SleepProgram
+from repro.baselines.ips import run_ips_batch
+from repro.baselines.shellscript import run_shellscript_batch
+from repro.cluster.machine import breadboard, generic_cluster
 from repro.cluster.platform import Platform
 from repro.core.jets import Simulation
 from repro.core.tasklist import JobSpec, TaskList
@@ -23,8 +25,12 @@ from repro.experiments import (
     ablations,
     fig06_sequential,
     fig07_cluster,
+    fig08_pingpong,
     fig09_bgp,
     fig12_namd_util,
+    fig15_swift_synthetic,
+    fig18_rem,
+    mpiio,
 )
 
 
@@ -112,6 +118,13 @@ def test_chaos_garbage_does_not_grow_with_plan_count():
     assert large - small < 50, (small, large)
 
 
+def mpi_jobs(count: int) -> list[JobSpec]:
+    return [
+        JobSpec(program=BarrierSleepBarrier(1.0), nodes=2, ppn=1, mpi=True)
+        for _ in range(count)
+    ]
+
+
 #: Every sweep driver, at sizes small enough for a unit test.
 SWEEPS = {
     "fig06": lambda: fig06_sequential.run(node_sizes=(4, 8), tasks_per_node=1),
@@ -129,6 +142,21 @@ SWEEPS = {
     "A5": lambda: ablations.run_dispatcher_sensitivity(
         nodes=32, spawn_factors=(1.0, 16.0)
     ),
+    "fig08": lambda: fig08_pingpong.run(sizes=[1, 1024], reps=2),
+    "fig15": lambda: fig15_swift_synthetic.run(
+        alloc_sizes=(8,), nodes_per_job=(1, 2), ppns=(1,), jobs_per_node=1
+    ),
+    "fig18": lambda: (
+        fig18_rem.run_serial(alloc_sizes=(4,), n_exchanges=1),
+        fig18_rem.run_mpi(alloc_sizes=(8,), n_exchanges=1),
+    ),
+    "mpiio": lambda: mpiio.run(alphas=(0.0,), n=4, rounds=1),
+    "ips": lambda: [
+        run_ips_batch(breadboard(4), mpi_jobs(2)) for _ in range(2)
+    ],
+    "shellscript": lambda: [
+        run_shellscript_batch(breadboard(4), mpi_jobs(2)) for _ in range(2)
+    ],
 }
 
 

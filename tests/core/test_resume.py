@@ -15,6 +15,7 @@ from repro.core.resume import (
     read_journal,
     replay,
     respec,
+    resume_main,
     resume_run,
 )
 from repro.core.tasklist import TaskList
@@ -269,3 +270,21 @@ class TestResumeTwice:
         assert dropped == 0
         second = resume_run(str(path))
         assert second.clean
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--jobs", ["--verify", "--jobs", "0", "--crash-points", "1"]),
+        ("--crash-points", ["--verify", "--jobs", "2", "--crash-points", "0"]),
+        ("--nodes", ["--verify", "--jobs", "2", "--nodes", "0"]),
+        ("--until", ["run.journal", "--until", "-1"]),
+    ],
+)
+def test_out_of_range_flag_is_a_usage_error(flag, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        resume_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: jets resume")
+    assert f"jets resume: error: {flag} must be positive" in err

@@ -1,4 +1,4 @@
-"""Trace retention windows, spill segments, subscriber contract.
+"""Trace retention windows, the spill file, subscriber contract.
 
 A bounded ``Trace`` must behave like an unbounded one at the subscriber
 and archival layers: every record reaches subscribers exactly once
@@ -176,13 +176,11 @@ class TestSpill:
 
     def test_segments_flush_during_the_run(self, env, tmp_path):
         spill = tmp_path / "seg.jsonl"
-        st = Trace(
-            env, window=4, spill=str(spill), truncate=True, segment_records=8
-        )
+        st = Trace(env, window=4, spill=str(spill), truncate=True)
         _log_n(st, 40)
         st.flush()
-        # Evicted records are already on disk mid-run (the file is a
-        # valid, growing JSONL prefix), window still retained.
+        # Evicted records are on disk mid-run once flushed (the file is
+        # a valid, growing JSONL prefix), window still retained.
         on_disk = spill.read_text().splitlines()
         assert len(on_disk) == st.spilled == 36
         assert [json.loads(ln)["data"]["i"] for ln in on_disk] == list(
