@@ -39,6 +39,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
+import numpy as np
+
 __all__ = [
     "Environment",
     "Event",
@@ -574,37 +576,94 @@ class SchedulingOrder:
         """Tiebreak key for one newly scheduled event (lower pops first)."""
         return 0.0
 
+    def draws(self) -> list[float]:
+        """Tiebreaks drawn ahead of their events, the next one last.
+
+        An environment binds this list once and pops it for every event
+        it schedules, calling :meth:`tiebreak` only when the list is
+        empty.  The base order draws nothing ahead.
+        """
+        return []
+
+
+#: xorshift64* constants of :class:`SeededOrder`'s stream.
+_MASK = (1 << 64) - 1
+_MIX = 0x2545F4914F6CDD1D
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX64 = np.uint64(_MIX)
+#: Draws per :class:`SeededOrder` block.
+_BLOCK = 256
+#: ``_STEPS[b, k]`` is bit ``b`` alone after ``k + 1`` state steps
+#: (64 x ``_BLOCK`` uint64, 128 KB), built by the first refill.
+_STEPS: Optional[np.ndarray] = None
+
+
+def _step_table() -> np.ndarray:
+    global _STEPS
+    # Shift amounts typed np.uint64: under numpy 1.x promotion, uint64
+    # mixed with a Python int can become float64.
+    a, b, c = np.uint64(12), np.uint64(25), np.uint64(27)
+    x = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    steps = np.empty((64, _BLOCK), dtype=np.uint64)
+    for k in range(_BLOCK):
+        x ^= x >> a
+        x ^= x << b
+        x ^= x >> c
+        steps[:, k] = x
+    _STEPS = steps
+    return steps
+
 
 class SeededOrder(SchedulingOrder):
     """Deterministic pseudo-random tie permutation.
 
-    Draws each tiebreak from an inline xorshift64* stream so the kernel
-    needs no RNG dependency and two runs with the same seed replay the
-    same schedule exactly.  Seed 0 is reserved for the FIFO baseline.
+    Draws each tiebreak from a xorshift64* stream, so two runs with the
+    same seed replay the same schedule exactly and the kernel stays off
+    the process-global ``random``.  Seed 0 is reserved for the FIFO
+    baseline.
+
+    The stream is made in exact blocks of ``_BLOCK`` draws.  The state
+    step ``x ^= x >> 12; x ^= x << 25; x ^= x >> 27`` (mod 2**64) is
+    linear over GF(2), so the next ``_BLOCK`` states are the XOR of the
+    ``_STEPS`` rows picked out by the current state's set bits.  Each
+    output ``(x * MIX mod 2**64) / 2**64`` comes from uint64 wraparound,
+    a correctly rounded uint64 -> float64 conversion and an exact
+    scaling by 2**-64, bit-identical to the scalar ``int / float(1 <<
+    64)``.  The step is invertible, so a nonzero state never steps to
+    zero.
     """
 
-    __slots__ = ("seed", "_state")
-
-    _MASK = (1 << 64) - 1
-    _MIX = 0x2545F4914F6CDD1D
-    _GOLDEN = 0x9E3779B97F4A7C15
+    __slots__ = ("seed", "_state", "_block")
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        #: The current block, next draw last; ``_state`` made ``_block[0]``.
+        self._block: list[float] = []
         if self.seed == 0:
             self._state = None  # FIFO baseline: constant tiebreak
         else:
-            self._state = (self.seed ^ self._GOLDEN) & self._MASK or self._MIX
+            self._state = (self.seed ^ _GOLDEN) & _MASK or _MIX
+
+    def draws(self) -> list[float]:
+        return self._block
 
     def tiebreak(self, event: "Event") -> float:
-        if self._state is None:
-            return 0.0
+        block = self._block
+        if not block:
+            if self._state is None:
+                return 0.0
+            self._refill()
+        return block.pop()
+
+    def _refill(self) -> None:
+        steps = _STEPS if _STEPS is not None else _step_table()
         x = self._state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & self._MASK
-        x ^= x >> 27
-        self._state = x or self._GOLDEN
-        return ((x * self._MIX) & self._MASK) / float(1 << 64)
+        states = np.bitwise_xor.reduce(
+            steps[[b for b in range(64) if x >> b & 1]], axis=0
+        )
+        self._state = int(states[-1])
+        draws = np.ldexp((states * _MIX64).astype(np.float64), -64)
+        self._block.extend(draws[::-1].tolist())
 
 
 class Environment:
@@ -656,6 +715,7 @@ class Environment:
         "_heap",
         "_seq",
         "_order",
+        "_draws",
         "_fast",
         "_prov",
         "_cause",
@@ -685,6 +745,9 @@ class Environment:
         self._heap: list[tuple] = []
         self._seq = 0
         self._order = order
+        #: The order's tiebreaks drawn ahead (:meth:`SchedulingOrder.draws`),
+        #: popped by ``_schedule`` before it asks the order for one.
+        self._draws = None if order is None else order.draws()
         #: Event-provenance hook (``hook(cause, event, when)``) and the
         #: event whose callbacks are currently being delivered.  Both are
         #: observation-only: installing a hook never changes event order.
@@ -751,6 +814,11 @@ class Environment:
             proc._value = None
             proc.callbacks = None
             generator.close()
+        # Deleting keys one at a time leaves the dict its peak table, and
+        # the pool holds the run's drained buckets: a closed environment
+        # that a session keeps (``Trace.env``) would keep both.
+        self._live = {}
+        self._bpool.clear()
         for event in self._table:
             if isinstance(event, Event):
                 event.callbacks = None
@@ -907,10 +975,9 @@ class Environment:
             self._insert(event, priority, t)
         else:
             self._seq += 1
-            heapq.heappush(
-                self._heap,
-                (t, priority, self._order.tiebreak(event), self._seq, event),
-            )
+            draws = self._draws
+            tiebreak = draws.pop() if draws else self._order.tiebreak(event)
+            _heappush(self._heap, (t, priority, tiebreak, self._seq, event))
         if self._prov is not None:
             self._prov(self._cause, event, t)
 

@@ -1,6 +1,7 @@
 """Tests for the DES kernel: events, processes, conditions, interrupts."""
 
 import gc
+import sys
 
 import pytest
 
@@ -589,6 +590,23 @@ class TestClose:
         env.close()
         assert finals == ran and fired == []
         assert env.peek() == float("inf")
+
+    def test_close_drops_the_process_table_and_bucket_pool(self):
+        # A session keeps each closed environment (``Trace.env``), so
+        # close() must not leave it the run's peak tables.
+        env = Environment()
+
+        def short(i):
+            yield env.timeout(i * 0.5)
+
+        for i in range(1000):
+            env.process(short(i))
+        env.process(short(1e6))  # still parked at close
+        env.run(until=600)
+        assert env._bpool and len(env._live) == 1
+        env.close()
+        assert sys.getsizeof(env._live) == sys.getsizeof({})
+        assert env._bpool == []
 
     def test_closed_processes_free_by_reference_counting(self, parked):
         env, procs, _finals, _fired = parked
