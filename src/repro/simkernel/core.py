@@ -36,6 +36,7 @@ inline succeed→resume fast path.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -576,15 +577,6 @@ class SchedulingOrder:
         """Tiebreak key for one newly scheduled event (lower pops first)."""
         return 0.0
 
-    def draws(self) -> list[float]:
-        """Tiebreaks drawn ahead of their events, the next one last.
-
-        An environment binds this list once and pops it for every event
-        it schedules, calling :meth:`tiebreak` only when the list is
-        empty.  The base order draws nothing ahead.
-        """
-        return []
-
 
 #: xorshift64* constants of :class:`SeededOrder`'s stream.
 _MASK = (1 << 64) - 1
@@ -593,13 +585,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX64 = np.uint64(_MIX)
 #: Draws per :class:`SeededOrder` block.
 _BLOCK = 256
-#: ``_STEPS[b, k]`` is bit ``b`` alone after ``k + 1`` state steps
-#: (64 x ``_BLOCK`` uint64, 128 KB), built by the first refill.
-_STEPS: Optional[np.ndarray] = None
 
 
+@functools.cache
 def _step_table() -> np.ndarray:
-    global _STEPS
+    """``[b, k]`` is bit ``b`` alone after ``k + 1`` state steps (64 x
+    ``_BLOCK`` uint64, 128 KB), built by the first refill."""
     # Shift amounts typed np.uint64: under numpy 1.x promotion, uint64
     # mixed with a Python int can become float64.
     a, b, c = np.uint64(12), np.uint64(25), np.uint64(27)
@@ -610,7 +601,6 @@ def _step_table() -> np.ndarray:
         x ^= x << b
         x ^= x >> c
         steps[:, k] = x
-    _STEPS = steps
     return steps
 
 
@@ -625,12 +615,12 @@ class SeededOrder(SchedulingOrder):
     The stream is made in exact blocks of ``_BLOCK`` draws.  The state
     step ``x ^= x >> 12; x ^= x << 25; x ^= x >> 27`` (mod 2**64) is
     linear over GF(2), so the next ``_BLOCK`` states are the XOR of the
-    ``_STEPS`` rows picked out by the current state's set bits.  Each
-    output ``(x * MIX mod 2**64) / 2**64`` comes from uint64 wraparound,
-    a correctly rounded uint64 -> float64 conversion and an exact
-    scaling by 2**-64, bit-identical to the scalar ``int / float(1 <<
-    64)``.  The step is invertible, so a nonzero state never steps to
-    zero.
+    ``_step_table()`` rows picked out by the current state's set bits.
+    Each output ``(x * MIX mod 2**64) / 2**64`` comes from uint64
+    wraparound, a correctly rounded uint64 -> float64 conversion and an
+    exact scaling by 2**-64, bit-identical to the scalar ``int /
+    float(1 << 64)``.  The step is invertible, so a nonzero state never
+    steps to zero.
     """
 
     __slots__ = ("seed", "_state", "_block")
@@ -644,9 +634,6 @@ class SeededOrder(SchedulingOrder):
         else:
             self._state = (self.seed ^ _GOLDEN) & _MASK or _MIX
 
-    def draws(self) -> list[float]:
-        return self._block
-
     def tiebreak(self, event: "Event") -> float:
         block = self._block
         if not block:
@@ -656,10 +643,9 @@ class SeededOrder(SchedulingOrder):
         return block.pop()
 
     def _refill(self) -> None:
-        steps = _STEPS if _STEPS is not None else _step_table()
         x = self._state
         states = np.bitwise_xor.reduce(
-            steps[[b for b in range(64) if x >> b & 1]], axis=0
+            _step_table()[[b for b in range(64) if x >> b & 1]], axis=0
         )
         self._state = int(states[-1])
         draws = np.ldexp((states * _MIX64).astype(np.float64), -64)
@@ -715,7 +701,6 @@ class Environment:
         "_heap",
         "_seq",
         "_order",
-        "_draws",
         "_fast",
         "_prov",
         "_cause",
@@ -745,9 +730,6 @@ class Environment:
         self._heap: list[tuple] = []
         self._seq = 0
         self._order = order
-        #: The order's tiebreaks drawn ahead (:meth:`SchedulingOrder.draws`),
-        #: popped by ``_schedule`` before it asks the order for one.
-        self._draws = None if order is None else order.draws()
         #: Event-provenance hook (``hook(cause, event, when)``) and the
         #: event whose callbacks are currently being delivered.  Both are
         #: observation-only: installing a hook never changes event order.
@@ -975,9 +957,10 @@ class Environment:
             self._insert(event, priority, t)
         else:
             self._seq += 1
-            draws = self._draws
-            tiebreak = draws.pop() if draws else self._order.tiebreak(event)
-            _heappush(self._heap, (t, priority, tiebreak, self._seq, event))
+            _heappush(
+                self._heap,
+                (t, priority, self._order.tiebreak(event), self._seq, event),
+            )
         if self._prov is not None:
             self._prov(self._cause, event, t)
 

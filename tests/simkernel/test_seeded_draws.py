@@ -69,7 +69,7 @@ class TestBlockStream:
     def test_seed_zero_draws_nothing_ahead(self):
         order = SeededOrder(0)
         assert take(order, _BLOCK + 1) == [0.0] * (_BLOCK + 1)
-        assert order.draws() == []
+        assert order._block == []
 
 
 class TestEnvironmentDraws:
