@@ -4,7 +4,7 @@ judged with (the dispatcher must keep short jobs running while pilots
 die, paper Section 6.1.5, Fig. 10).
 
 * provisioning: :func:`derive_seed` and :class:`Run`, which builds the
-  platform on its seed's engine with the verdict's oracles attached and
+  platform under its seed's order with the verdict's oracles attached and
   starts the dispatcher and one pilot per node;
 * dispatch: the :func:`smoke_jobs` mix and :meth:`Run.drain`;
 * judging: :meth:`Run.judge`, and :func:`run_campaign` filling one
@@ -105,9 +105,9 @@ def smoke_jobs(config: SmokeConfig, pin_ids: bool = False) -> list[JobSpec]:
 class Run:
     """One campaign run: a platform, its dispatcher and its pilots.
 
-    Seed 0 runs FIFO on the calendar engine, any other seed under
-    :class:`~repro.simkernel.SeededOrder`; both engines keep one FIFO
-    contract, so a seed-0 run doubles as a cross-engine check.
+    Seed 0 runs FIFO, any other seed under
+    :class:`~repro.simkernel.SeededOrder`, both on the one calendar
+    engine, so a seed-0 run is the FIFO baseline of its campaign.
     ``judged`` attaches the streaming oracles before anything runs.
     """
 

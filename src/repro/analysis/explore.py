@@ -20,8 +20,8 @@ After every schedule three oracles must hold:
    (:func:`.protocol.validate_sessions`).
 
 Schedule 0 (with the default base seed) is the FIFO baseline ordering, so
-the explorer always re-validates the historical schedule too; it runs on
-the calendar engine, so it also cross-checks the two scheduler engines.
+the explorer always re-validates the historical schedule too, on the same
+calendar engine that runs every permuted schedule.
 Every schedule is built, drained and judged by :mod:`.campaign`.
 """
 

@@ -547,7 +547,7 @@ _HEAP_FNS = frozenset(
 )
 
 #: The one module allowed to own scheduling heaps: the kernel scheduler
-#: (its calendar-queue overflow heap and the legacy explore engine).
+#: (its calendar-queue overflow heap of unique bucket times).
 _SCHEDULER_MODULE = "repro.simkernel.core"
 
 
@@ -563,8 +563,8 @@ class HeapOutsideScheduler(PerfRule):
     time-ordered-tuple pattern wholesale) quietly reintroduces the cost
     the kernel just shed.  Time/priority ordering belongs in
     :class:`~repro.simkernel.core.Environment`; only the scheduler
-    module itself (its sorted-overflow structure and the legacy explore
-    engine) owns a scheduling heap.  Genuine non-scheduling heaps (e.g.
+    module itself (its sorted overflow of unique bucket times) owns a
+    scheduling heap.  Genuine non-scheduling heaps (e.g.
     priority-ordered *items* in a store) take a
     ``# repro: noqa[PF007]`` with the reason.
     """

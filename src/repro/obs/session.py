@@ -66,9 +66,9 @@ class ObsSession:
     run is over (or as it runs, when bounded), and the Chrome trace and
     reports are rendered from span folds subscribed to each trace.  A
     run's Chrome events go to a temporary sibling of ``chrome_out`` when
-    the run ends, and its fold is dropped unless a report needs it; the
-    file is renamed onto ``chrome_out`` at :meth:`flush`, so a session
-    that raises leaves ``chrome_out`` as it was.
+    the run ends, and its fold and registry are dropped unless a report
+    needs them; the file is renamed onto ``chrome_out`` at :meth:`flush`,
+    so a session that raises leaves ``chrome_out`` as it was.
     """
 
     def __init__(
@@ -163,7 +163,8 @@ class ObsSession:
 
     def _close_last(self) -> None:
         """End the most recently attached run (a no-op if ended): close
-        its trace, then write its Chrome events."""
+        its trace, write its Chrome events, then drop its registry
+        unless a report will read it."""
         if not self.runs:
             return
         label, trace, registry = self.runs[-1]
@@ -177,24 +178,28 @@ class ObsSession:
             print(f"obs: cannot write {self.trace_out}: {exc}",
                   file=sys.stderr)
         fold, self._fold = self._fold, None
-        if fold is None:
-            return
-        # A closed trace feeds no subscriber: the fold is complete.
-        trace.unsubscribe(fold.fold)
-        if not self.chrome_out:
-            return
-        try:
-            if self._chrome is None:
-                from .export import ChromeWriter
+        if fold is not None:
+            # A closed trace feeds no subscriber: the fold is complete.
+            trace.unsubscribe(fold.fold)
+        if fold is not None and self.chrome_out:
+            try:
+                if self._chrome is None:
+                    from .export import ChromeWriter
 
-                self._chrome = ChromeWriter(
-                    open(self.chrome_out + ".tmp", "w")
+                    self._chrome = ChromeWriter(
+                        open(self.chrome_out + ".tmp", "w")
+                    )
+                self._chrome.add_run(
+                    fold.result(), len(self.runs) - 1, label, registry
                 )
-            self._chrome.add_run(
-                fold.result(), len(self.runs) - 1, label, registry
-            )
-        except OSError as exc:
-            self._chrome_failed(exc)
+            except OSError as exc:
+                self._chrome_failed(exc)
+        if not self.report:
+            # Its gauge samples are most of what a finished run keeps,
+            # and the reports are their only later reader.
+            self.runs[-1] = (label, trace, None)
+            if self._trackers:
+                self._trackers[-1].registry = None
 
     def _chrome_failed(self, exc: OSError) -> None:
         """Say once that the Chrome trace can't be written, and stop."""

@@ -6,29 +6,23 @@ the JETS dispatcher, MPI bootstrap, the Swift dataflow engine) is expressed
 as :class:`Process` coroutines scheduled by an :class:`Environment`.
 
 Determinism: events are ordered by ``(time, priority, tiebreak, sequence)``
-where the sequence number is a monotonically increasing counter, so two
-runs with the same seed produce identical traces.  The ``tiebreak`` term is
-0.0 by default (pure FIFO among same-time, same-priority events — the
-historical ordering, bit-identical to older kernels); a pluggable
-:class:`SchedulingOrder` may perturb it to systematically explore
-alternative legal schedules (``jets explore``), exactly because any
-ordering of simultaneous events is a schedule the real system could
-exhibit.
+where the sequence is schedule order, so two runs with the same seed
+produce identical traces.  The ``tiebreak`` term is 0.0 by default (pure
+FIFO among same-time, same-priority events — the historical ordering,
+bit-identical to older kernels); a pluggable :class:`SchedulingOrder` may
+perturb it to systematically explore alternative legal schedules (``jets
+explore``), exactly because any ordering of simultaneous events is a
+schedule the real system could exhibit.
 
-Two scheduler engines realize that one ordering contract:
-
-* **FIFO calendar queue** (default, no :class:`SchedulingOrder`): events
-  live in per-timestamp buckets — append-ordered lists addressed by an
-  exact-float time key — with a small heap of *unique* bucket times as
-  the sorted overflow for far-future/irregular timestamps.  Bucket
-  entries are int handles (bare slot indices) into a freelist-recycled
-  event table, so pushing an event allocates no tuple — the slot int
-  already exists — and popping one is a cursor bump.  Exact-float keys are the same tie
-  criterion the old heap used (``==`` on the time column), which keeps
-  the FIFO schedule byte-identical to the heap-based kernels.
-* **Legacy tiebreak heap** (any :class:`SchedulingOrder` installed): the
-  flat ``heapq`` of ``(time, priority, tiebreak, seq, event)`` 5-tuples,
-  unchanged, so ``jets explore`` permutations replay exactly.
+One calendar queue realizes that contract.  Events live in per-timestamp
+buckets addressed by an exact-float time key, with a small heap of
+*unique* bucket times as the sorted overflow for far-future/irregular
+timestamps.  A bucket holds an urgent and a normal lane of events, and
+popping one is a cursor bump.  Without an order a lane is append-ordered;
+under one, each event is sorted into the undelivered part of its lane by
+its tiebreak, after equal keys, so ties keep schedule order.  Exact-float
+keys are the tie criterion the old heap used (``==`` on the time column),
+which keeps every schedule byte-identical to the heap-based kernels.
 
 See DESIGN.md §16 for the data layout and the legality argument for the
 inline succeed→resume fast path.
@@ -38,6 +32,8 @@ from __future__ import annotations
 
 import functools
 import heapq
+from bisect import insort_right
+from operator import attrgetter
 from typing import Any, Callable, Generator, Iterable, Optional
 
 import numpy as np
@@ -67,16 +63,12 @@ URGENT = 0
 #: Default event priority.
 NORMAL = 1
 
-#: Calendar entries are bare slot indices into the handle table — the
-#: lane a handle sits in already encodes its priority, so no bits are
-#: spent on it (and pushes reuse the existing slot int, allocating
-#: nothing).  A *negative* entry ``~slot`` on an urgent lane heads a
-#: two-entry callback pair (late listener on a processed event): its
-#: slot holds the callback, the following entry's slot the origin event.
-
 #: Hoisted allocator for the inlined event factories.
 _new = object.__new__
 _heappush = heapq.heappush
+#: Sort key of an ordered lane: the tiebreak :meth:`Environment._insert`
+#: drew for the event.
+_by_key = attrgetter("_key")
 
 
 class SimulationError(Exception):
@@ -105,10 +97,12 @@ class Event:
     Events are the kernel's unit of allocation — a 512-node campaign
     churns through millions — so the whole hierarchy is ``__slots__``-ed
     and subclasses write their fields directly instead of paying for
-    chained ``__init__`` double-writes.
+    chained ``__init__`` double-writes.  ``_key`` is set only under a
+    :class:`SchedulingOrder`: the tiebreak that sorts the event into its
+    calendar lane.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_key")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -149,21 +143,14 @@ class Event:
         # False (fail, interrupt bridges, conditions) never call succeed.
         self._value = value
         # Inlined Environment._insert fast path (succeed is the single
-        # hottest scheduling site): append an int handle to the current
-        # bucket's normal lane.  The tiebreak and provenance branches
-        # stay out of line (_fast is False whenever either is installed).
+        # hottest scheduling site): append to the current bucket's normal
+        # lane.  The tiebreak and provenance branches stay out of line
+        # (_fast is False whenever either is installed).
         env = self.env
         if env._fast:
             lane = env._bnow
             if lane is not None:
-                free = env._free
-                if free:
-                    slot = free.pop()
-                    env._table[slot] = self
-                else:
-                    slot = len(env._table)
-                    env._table.append(self)
-                lane.append(slot)
+                lane.append(self)
             else:
                 env._insert(self, NORMAL, env._now)
         else:
@@ -184,37 +171,21 @@ class Event:
     def _add_callback(self, callback: Callable[["Event"], None]) -> None:
         if self.callbacks is None:
             # Already processed: deliver at the current time through the
-            # scheduler so ordering stays deterministic.  Fast mode pushes
-            # a zero-alloc *callback pair* — two int handles on the
-            # current bucket's urgent lane (the first complemented, so a
-            # negative entry: its slot holds the callback, the next
-            # entry's slot the origin) — in exactly the lane position a
-            # relay event would occupy.  Outside fast mode (tiebreak order or provenance
-            # hook installed, or no live current bucket) the allocating
-            # :class:`_Relay` bridge keeps the observable behavior.
+            # scheduler so ordering stays deterministic.  Fast mode puts a
+            # ``(callback, origin)`` pair on the current bucket's urgent
+            # lane, in exactly the lane position a relay event would
+            # occupy.  Outside fast mode (an order or a provenance hook
+            # installed, or no live current bucket) the :class:`_Relay`
+            # bridge is a scheduled event, which the hook sees and the
+            # order keys.
             env = self.env
             bucket = env._bcur
             if env._fast and bucket is not None:
-                free = env._free
-                table = env._table
-                if free:
-                    slot = free.pop()
-                    table[slot] = callback
-                else:
-                    slot = len(table)
-                    table.append(callback)
-                if free:
-                    oslot = free.pop()
-                    table[oslot] = self
-                else:
-                    oslot = len(table)
-                    table.append(self)
                 lane = bucket[2]
                 if lane is None:
-                    bucket[2] = [~slot, oslot]
+                    bucket[2] = [(callback, self)]
                 else:
-                    lane.append(~slot)
-                    lane.append(oslot)
+                    lane.append((callback, self))
             else:
                 _Relay(env, self, callback)
         else:
@@ -277,19 +248,12 @@ class Timeout(Event):
         # Inlined Environment._insert fast path (timeouts dominate the
         # calendar in transfer-heavy campaigns): fixed-delay classes hash
         # to a handful of live buckets, so the common case is a bare
-        # handle append with no heap traffic at all.
+        # append with no heap traffic at all.
         if env._fast:
             t = env._now + delay
             bucket = env._buckets.get(t)
             if bucket is not None:
-                free = env._free
-                if free:
-                    slot = free.pop()
-                    env._table[slot] = self
-                else:
-                    slot = len(env._table)
-                    env._table.append(self)
-                bucket[0].append(slot)
+                bucket[0].append(self)
             else:
                 env._insert(self, NORMAL, t)
         else:
@@ -411,10 +375,10 @@ class Process(Event):
                 # Zero-alloc succeed→resume fast path: the yielded event
                 # already succeeded, nobody else listens to it, we are
                 # the tail callback of a delivery that emptied its bucket
-                # (_solo), and its handle sits at the current bucket's
+                # (_solo), and it sits at the current bucket's
                 # normal-lane cursor with the urgent lane exhausted — so
                 # the scheduler's very next pop would deliver exactly
-                # this event to exactly this process.  Consume the handle
+                # this event to exactly this process.  Consume the entry
                 # inline and keep stepping the generator without a
                 # calendar round-trip.  Legality: DESIGN.md §16.
                 if (
@@ -429,16 +393,14 @@ class Process(Event):
                         i = bucket[1]
                         if (
                             i < len(lane)
-                            and env._table[lane[i]] is next_target
+                            and lane[i] is next_target
                             and (
                                 bucket[2] is None
                                 or bucket[3] >= len(bucket[2])
                             )
                         ):
-                            slot = lane[i]
+                            lane[i] = None
                             bucket[1] = i + 1
-                            env._table[slot] = None
-                            env._free.append(slot)
                             env.events_processed += 1
                             next_target.callbacks = None
                             event = next_target
@@ -565,10 +527,10 @@ class SchedulingOrder:
     every permutation is a schedule the real (asynchronous) system could
     exhibit, which is what the bounded schedule explorer leans on.
 
-    Installing *any* order (even the FIFO-equivalent base class) routes
-    the environment onto the legacy 5-tuple heap engine; without one the
-    calendar queue realizes the same FIFO contract without per-event
-    tuple traffic.
+    The calendar queue realizes the key: an installed order (even the
+    FIFO-equivalent base class) draws one tiebreak per scheduled event,
+    and the event is sorted into its lane by it, after equal keys.  It
+    also turns off the inline append paths, which only FIFO allows.
     """
 
     __slots__ = ()
@@ -667,27 +629,23 @@ class Environment:
         env.run()
         assert p.value == 5.0
 
-    Under the default FIFO order the scheduler is a calendar queue:
+    The scheduler is a calendar queue:
 
     ``_buckets``
         ``{time: [normal_lane, normal_cursor, urgent_lane, urgent_cursor]}``
-        — one bucket per *exact* float timestamp.  Lanes are append-only
-        lists of int handles; cursors index the next undelivered handle.
-        The urgent lane is lazily allocated (URGENT events are only ever
-        scheduled at the current time, so far-future buckets never carry
-        one).
+        — one bucket per *exact* float timestamp.  Lanes are lists of
+        events; cursors index the next undelivered one, and delivery
+        stores ``None`` over the entry it takes.  Without an order a lane
+        is append-only; under one it is sorted by ``Event._key`` from its
+        cursor on.  A ``(callback, origin)`` tuple on an urgent lane is a
+        late listener on a processed event (fast mode only).  The urgent
+        lane is lazily allocated (URGENT events are only ever scheduled at
+        the current time, so far-future buckets never carry one).
     ``_times``
         Min-heap of the *unique* live bucket timestamps — the sorted
         overflow structure.  A time is pushed exactly once (bucket
         creation) and popped only when its bucket has fully drained, so
         ``_times[0]`` is always the next delivery time.
-    ``_table`` / ``_free``
-        Handle table and its freelist.  A handle is a bare slot index
-        (``~slot`` marks a callback-pair head, urgent lanes only); the
-        object lives at ``_table[slot]`` until its handle is consumed,
-        then the slot is recycled.  Pushing a handle reuses the slot
-        int from the freelist (or ``len(table)``), so steady-state
-        scheduling allocates nothing.
     ``_bnow`` / ``_bcur``
         Cache of the bucket at ``_now`` (its normal lane, and the bucket
         itself) or ``None`` — the target of the inlined
@@ -698,16 +656,12 @@ class Environment:
 
     __slots__ = (
         "_now",
-        "_heap",
-        "_seq",
         "_order",
         "_fast",
         "_prov",
         "_cause",
         "_buckets",
         "_times",
-        "_table",
-        "_free",
         "_bnow",
         "_bcur",
         "_bpool",
@@ -723,12 +677,6 @@ class Environment:
         order: Optional[SchedulingOrder] = None,
     ):
         self._now = float(initial_time)
-        # Legacy engine (any SchedulingOrder installed): heap entries are
-        # ``(time, priority, tiebreak, seq, event)`` 5-tuples.  Under the
-        # default FIFO order the heap stays empty and the calendar-queue
-        # fields below carry the schedule instead.
-        self._heap: list[tuple] = []
-        self._seq = 0
         self._order = order
         #: Event-provenance hook (``hook(cause, event, when)``) and the
         #: event whose callbacks are currently being delivered.  Both are
@@ -742,9 +690,7 @@ class Environment:
         # Calendar queue (see class docstring).
         self._buckets: dict[float, list] = {}
         self._times: list[float] = []
-        self._table: list[Optional[Event]] = []
-        self._free: list[int] = []
-        self._bnow: Optional[list[int]] = None
+        self._bnow: Optional[list[Event]] = None
         self._bcur: Optional[list] = None
         #: Drained bucket objects, recycled by ``_insert``.  Workloads
         #: with mostly-unique timestamps (the overflow-heap stress case)
@@ -801,16 +747,14 @@ class Environment:
         # that a session keeps (``Trace.env``) would keep both.
         self._live = {}
         self._bpool.clear()
-        for event in self._table:
-            if isinstance(event, Event):
-                event.callbacks = None
-        for entry in self._heap:
-            entry[-1].callbacks = None
-        self._table.clear()
-        self._free.clear()
+        for bucket in self._buckets.values():
+            # Delivered entries are None and late-listener pairs hold a
+            # processed origin: only undelivered events keep callbacks.
+            for entry in bucket[0] + (bucket[2] or []):
+                if isinstance(entry, Event):
+                    entry.callbacks = None
         self._buckets.clear()
         self._times.clear()
-        self._heap.clear()
         self._bnow = self._bcur = None
 
     # -- event factories ---------------------------------------------------
@@ -841,16 +785,9 @@ class Environment:
             ev._defused = False
             ev.delay = delay
             t = self._now + delay
-            free = self._free
-            if free:
-                slot = free.pop()
-                self._table[slot] = ev
-            else:
-                slot = len(self._table)
-                self._table.append(ev)
             bucket = self._buckets.get(t)
             if bucket is not None:
-                bucket[0].append(slot)
+                bucket[0].append(ev)
             else:
                 # Inlined bucket-miss path (the common case for
                 # irregular far-future delays): pooled bucket + overflow
@@ -858,9 +795,9 @@ class Environment:
                 pool = self._bpool
                 if pool:
                     bucket = pool.pop()
-                    bucket[0].append(slot)
+                    bucket[0].append(ev)
                 else:
-                    bucket = [[slot], 0, None, 0]
+                    bucket = [[ev], 0, None, 0]
                 self._buckets[t] = bucket
                 _heappush(self._times, t)
                 if t == self._now:
@@ -896,9 +833,9 @@ class Environment:
         happens-before checker (:mod:`repro.analysis.hbmodel`) folds
         into vector clocks.
 
-        Observation-only: scheduler data structure and event ordering
-        follow the :class:`SchedulingOrder` exactly as without a hook,
-        so the default FIFO schedule stays byte-identical.  Installing a
+        Observation-only: event ordering follows the
+        :class:`SchedulingOrder` exactly as without a hook, so the
+        default FIFO schedule stays byte-identical.  Installing a
         hook mid-``run()`` takes effect for scheduling immediately but
         for cause tracking only at the next ``run()``/``step()`` call.
         """
@@ -906,45 +843,41 @@ class Environment:
         self._fast = self._order is None and hook is None
 
     def _insert(self, event: Event, priority: int, t: float) -> None:
-        """Calendar-queue insert: handle allocation + bucket append.
+        """Calendar-queue insert: one event into its bucket's lane.
 
         The general (non-inlined) path: creates the bucket and registers
         its time in the ``_times`` overflow heap on first use, and keeps
-        the ``_bnow``/``_bcur`` current-bucket cache coherent.
+        the ``_bnow``/``_bcur`` current-bucket cache coherent.  Under an
+        order the event takes its tiebreak as ``_key``; a new bucket takes
+        it as its only entry, and a live lane sorts it into its
+        undelivered part after equal keys, which is the heap's
+        ``(tiebreak, seq)`` order.
         """
         if priority != NORMAL and priority != URGENT:
             raise SimulationError(f"unsupported priority {priority!r}")
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._table[slot] = event
-        else:
-            slot = len(self._table)
-            self._table.append(event)
+        order = self._order
+        if order is not None:
+            event._key = order.tiebreak(event)
         buckets = self._buckets
         bucket = buckets.get(t)
         if bucket is None:
             pool = self._bpool
-            if pool:
-                bucket = pool.pop()
-                if priority == NORMAL:
-                    bucket[0].append(slot)
-                else:
-                    bucket[2] = [slot]
-            elif priority == NORMAL:
-                bucket = [[slot], 0, None, 0]
+            bucket = pool.pop() if pool else [[], 0, None, 0]
+            if priority == NORMAL:
+                bucket[0].append(event)
             else:
-                bucket = [[], 0, [slot], 0]
+                bucket[2] = [event]
             buckets[t] = bucket
             heapq.heappush(self._times, t)
-        elif priority == NORMAL:
-            bucket[0].append(slot)
         else:
-            lane = bucket[2]
+            at = 0 if priority == NORMAL else 2
+            lane = bucket[at]
             if lane is None:
-                bucket[2] = [slot]
+                bucket[2] = [event]
+            elif order is None:
+                lane.append(event)
             else:
-                lane.append(slot)
+                insort_right(lane, event, bucket[at + 1], key=_by_key)
         if t == self._now:
             self._bnow = bucket[0]
             self._bcur = bucket
@@ -953,21 +886,12 @@ class Environment:
         if delay < 0.0:
             raise ValueError(f"negative delay {delay}")
         t = self._now + delay
-        if self._order is None:
-            self._insert(event, priority, t)
-        else:
-            self._seq += 1
-            _heappush(
-                self._heap,
-                (t, priority, self._order.tiebreak(event), self._seq, event),
-            )
+        self._insert(event, priority, t)
         if self._prov is not None:
             self._prov(self._cause, event, t)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._order is not None:
-            return self._heap[0][0] if self._heap else float("inf")
         return self._times[0] if self._times else float("inf")
 
     def _bucket_drained(self, bucket: list) -> bool:
@@ -988,66 +912,44 @@ class Environment:
 
     def step(self) -> None:
         """Process the next scheduled event."""
-        if self._order is not None:
-            if not self._heap:
-                raise SimulationError("no more events")
-            entry = heapq.heappop(self._heap)
-            when, event = entry[0], entry[-1]
-            self._now = when
-            callbacks, event.callbacks = event.callbacks, None
-        else:
-            times = self._times
+        times = self._times
+        bucket = None
+        while times:
+            when = times[0]
+            bucket = self._buckets[when]
+            if not self._bucket_drained(bucket):
+                break
+            self._retire_bucket(when)
             bucket = None
-            while times:
-                when = times[0]
-                bucket = self._buckets[when]
-                if not self._bucket_drained(bucket):
-                    break
-                self._retire_bucket(when)
-                bucket = None
-            if bucket is None:
-                raise SimulationError("no more events")
-            self._now = when
-            self._bnow = bucket[0]
-            self._bcur = bucket
-            lane = bucket[2]
-            if lane is not None and bucket[3] < len(lane):
-                slot = lane[bucket[3]]
-                if slot < 0:
-                    # Two-entry callback pair: first slot holds the
-                    # listener, second the already-processed origin.
-                    slot = ~slot
-                    oslot = lane[bucket[3] + 1]
-                    bucket[3] += 2
-                    callbacks = [self._table[slot]]
-                    event = self._table[oslot]
-                    self._table[slot] = None
-                    self._table[oslot] = None
-                    self._free.append(slot)
-                    self._free.append(oslot)
-                else:
-                    bucket[3] += 1
-                    event = self._table[slot]
-                    self._table[slot] = None
-                    self._free.append(slot)
-                    callbacks, event.callbacks = event.callbacks, None
-            else:
-                slot = bucket[0][bucket[1]]
-                bucket[1] += 1
-                event = self._table[slot]
-                self._table[slot] = None
-                self._free.append(slot)
-                callbacks, event.callbacks = event.callbacks, None
+        if bucket is None:
+            raise SimulationError("no more events")
+        self._now = when
+        self._bnow = bucket[0]
+        self._bcur = bucket
+        lane = bucket[2]
+        if lane is not None and bucket[3] < len(lane):
+            i = bucket[3]
+            bucket[3] = i + 1
+        else:
+            lane = bucket[0]
+            i = bucket[1]
+            bucket[1] = i + 1
+        event = lane[i]
+        lane[i] = None
+        if event.__class__ is tuple:
+            callback, event = event
+            callbacks = (callback,)
+        else:
+            callbacks, event.callbacks = event.callbacks, None
         self.events_processed += 1
         if self._prov is not None:
             self._cause = event
         for callback in callbacks:
             callback(event)
         self._cause = None
-        if self._order is None:
-            bucket = self._buckets.get(self._now)
-            if bucket is not None and self._bucket_drained(bucket):
-                self._retire_bucket(self._now)
+        bucket = self._buckets.get(self._now)
+        if bucket is not None and self._bucket_drained(bucket):
+            self._retire_bucket(self._now)
         if not event._ok and not event._defused:
             exc = event._value
             raise exc if isinstance(exc, BaseException) else SimulationError(
@@ -1061,8 +963,6 @@ class Environment:
         (run up to that time), or an :class:`Event` (run until it fires and
         return its value).
         """
-        if self._order is not None:
-            return self._run_ordered(until)
         stop_event: Optional[Event] = None
         stop_time = float("inf")
         if isinstance(until, Event):
@@ -1077,14 +977,12 @@ class Environment:
         # that timestamp, urgent lane first — skipping the per-event
         # peek/stop checks that can't change within a batch.  Events
         # scheduled by a callback are never earlier than `now`, so
-        # same-time arrivals append to the live bucket and join the
-        # current batch in exactly the order `step()` would have popped
-        # them; the stop event is still re-checked after every event so
-        # `until`-capped runs process precisely the same prefix.
+        # same-time arrivals join the live bucket at or after its cursor
+        # and the current batch in exactly the order `step()` would have
+        # popped them; the stop event is still re-checked after every
+        # event so `until`-capped runs process precisely the same prefix.
         times = self._times
         buckets = self._buckets
-        table = self._table
-        free = self._free
         bpool = self._bpool
         heappop = heapq.heappop
         # Hoisted: cause tracking is only paid for when a provenance hook
@@ -1113,58 +1011,37 @@ class Environment:
                 self._bnow = lane
                 self._bcur = bucket
                 # Cached lane length: refreshed only when the cursor
-                # catches up, so same-time arrivals appended mid-drain
-                # are still seen.  The solo gate may read it stale — it
-                # is a heuristic; the resume fast path revalidates
-                # against live bucket state before consuming anything.
+                # catches up, so same-time arrivals added mid-drain are
+                # still seen.  The solo gate may read it stale — it is a
+                # heuristic; the resume fast path revalidates against
+                # live bucket state before consuming anything.
                 n = len(lane)
                 while True:
-                    # The urgent lane drains first; within it, a
-                    # negative handle (``~slot``) heads a two-entry pair
-                    # (late listener on an already-processed event) and
-                    # is delivered directly — the zero-alloc equivalent
-                    # of a _Relay event in the same lane position.  A
+                    # The urgent lane drains first; a tuple there is a
+                    # late listener on an already-processed event, and
+                    # its origin goes to that one callback, as a _Relay
+                    # in the same lane position would deliver it.  A
                     # normal-lane pop implies the urgent lane is
                     # exhausted, so the solo gate there only has to
                     # check its own lane.
                     urgent = bucket[2]
                     if urgent is not None and bucket[3] < len(urgent):
                         i = bucket[3]
-                        slot = urgent[i]
-                        if slot < 0:
-                            bucket[3] = i + 2
-                            slot = ~slot
-                            callback = table[slot]
-                            table[slot] = None
-                            free.append(slot)
-                            oslot = urgent[i + 1]
-                            event = table[oslot]
-                            table[oslot] = None
-                            free.append(oslot)
-                            self.events_processed += 1
-                            if track:
-                                self._cause = event
-                            self._solo = False
-                            callback(event)
-                            if not event._ok and not event._defused:
-                                if self._bucket_drained(bucket):
-                                    self._retire_bucket(when)
-                                exc = event._value
-                                raise exc if isinstance(
-                                    exc, BaseException
-                                ) else SimulationError(repr(exc))
-                            if (
-                                stop_event is not None
-                                and stop_event.callbacks is None
-                            ):
-                                break
-                            continue
                         bucket[3] = i + 1
-                        solo = (
-                            chain
-                            and i + 1 >= len(urgent)
-                            and bucket[1] >= n
-                        )
+                        event = urgent[i]
+                        urgent[i] = None
+                        if event.__class__ is tuple:
+                            callback, event = event
+                            callbacks = (callback,)
+                            solo = False
+                        else:
+                            callbacks = event.callbacks
+                            event.callbacks = None
+                            solo = (
+                                chain
+                                and i + 1 >= len(urgent)
+                                and bucket[1] >= n
+                            )
                     else:
                         i = bucket[1]
                         if i >= n:
@@ -1172,16 +1049,14 @@ class Environment:
                             if i >= n:
                                 break
                         bucket[1] = i + 1
-                        slot = lane[i]
+                        event = lane[i]
+                        lane[i] = None
+                        callbacks = event.callbacks
+                        event.callbacks = None
                         solo = chain and i + 1 >= n
-                    event = table[slot]
-                    table[slot] = None
-                    free.append(slot)
                     self.events_processed += 1
                     if track:
                         self._cause = event
-                    callbacks = event.callbacks
-                    event.callbacks = None
                     if solo and len(callbacks) == 1:
                         self._solo = True
                         callbacks[0](event)
@@ -1214,68 +1089,6 @@ class Environment:
                 self._bcur = None
         finally:
             self._solo = False
-            if track:
-                self._cause = None
-
-        if stop_event is not None:
-            if stop_event.processed:
-                if not stop_event._ok:
-                    stop_event._defused = True
-                    raise stop_event._value
-                return stop_event._value
-            raise SimulationError(
-                "simulation ran out of events before `until` event fired"
-            )
-        if stop_time != float("inf"):
-            self._now = stop_time
-        return None
-
-    def _run_ordered(self, until: Optional[float | Event] = None) -> Any:
-        """Legacy heap engine: :meth:`run` under a :class:`SchedulingOrder`.
-
-        Kept verbatim from the pre-calendar kernel so ``jets explore``
-        schedule permutations (and their digests) replay exactly.
-        """
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError("until is in the past")
-
-        heap = self._heap
-        heappop = heapq.heappop
-        track = self._prov is not None
-        try:
-            while heap:
-                if stop_event is not None and stop_event.callbacks is None:
-                    if not stop_event._ok:
-                        stop_event._defused = True
-                        raise stop_event._value
-                    return stop_event._value
-                when = heap[0][0]
-                if when > stop_time:
-                    self._now = stop_time
-                    return None
-                self._now = when
-                while heap and heap[0][0] == when:
-                    event = heappop(heap)[-1]
-                    self.events_processed += 1
-                    if track:
-                        self._cause = event
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        raise exc if isinstance(
-                            exc, BaseException
-                        ) else SimulationError(repr(exc))
-                    if stop_event is not None and stop_event.callbacks is None:
-                        break
-        finally:
             if track:
                 self._cause = None
 

@@ -67,19 +67,22 @@ def one_run(nodes: int = 2) -> None:
 def test_chrome_file_equals_whole_document_writer(tmp_path, stream, report):
     spill = tmp_path / "run.jsonl"
     bound = {"stream": True, "window": 16} if stream else {}
+    registries = []
     with session(
         trace_out=str(spill), report=report, report_stream=io.StringIO(),
         **bound,
     ) as s:
         for nodes in (2, 3, 4):
             one_run(nodes)
+            # Without a report the session drops it when the run ends.
+            registries.append(s.runs[-1][2])
     assert len(s.runs) == 3
     records: dict[int, list] = {}
     for run, rec in iter_jsonl(str(spill)):
         records.setdefault(run, []).append(rec)
     sources = [
-        (label, build_spans(records[i]), registry)
-        for i, (label, _trace, registry) in enumerate(s.runs)
+        (label, build_spans(records[i]), registries[i])
+        for i, (label, _trace, _registry) in enumerate(s.runs)
     ]
     ref = tmp_path / "ref.trace.json"
     count = ref_to_chrome_trace(sources, ref)
@@ -146,3 +149,19 @@ def test_finished_run_fold_is_freed_at_next_attach(tmp_path, report):
             assert (fold() is not None) == report
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("report", [False, True], ids=["no-report", "report"])
+@pytest.mark.parametrize("progress", [None, 0.5], ids=["plain", "progress"])
+def test_finished_run_registry_is_freed(tmp_path, report, progress):
+    with session(
+        trace_out=str(tmp_path / "run.jsonl"), stream=True,
+        report=report, report_stream=io.StringIO(), progress_every=progress,
+    ) as s:
+        one_run()
+        registry = weakref.ref(s.runs[0][2])
+        one_run()
+    gc.collect()
+    # Only a report reads a registry after its run has ended.
+    assert (registry() is not None) == report
+    assert all((reg is not None) == report for _l, _t, reg in s.runs)

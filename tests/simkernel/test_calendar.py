@@ -1,11 +1,11 @@
 """Edge cases of the calendar-queue scheduler.
 
-The FIFO engine keeps events in per-timestamp buckets of int handles
-with a heap of unique bucket times as the sorted overflow; these tests
-pin down its boundary behavior — negative delays, float-precision time
-keys, rollover past sparse far-future horizons, handle-table recycling
-(including after condition defusal), and coexistence with the legacy
-5-tuple heap engine used under a :class:`SchedulingOrder`.
+The engine keeps events in per-timestamp buckets of lanes with a heap
+of unique bucket times as the sorted overflow; these tests pin down its
+boundary behavior — negative delays, float-precision time keys, rollover
+past sparse far-future horizons, lanes that keep no delivered event
+(including after condition defusal), and the same buckets under a
+:class:`SchedulingOrder`.
 """
 
 import pytest
@@ -20,10 +20,13 @@ from repro.simkernel import (
 )
 
 
-def _table_is_clean(env: Environment) -> bool:
-    """Every handle slot is recycled: no event outlives its delivery."""
-    live = [s for s in env._table if s is not None]
-    return not live and len(env._free) == len(env._table)
+def _lanes_are_clean(env: Environment) -> bool:
+    """No event outlives its delivery: every lane entry before its cursor
+    is ``None``, and a pooled bucket holds nothing."""
+    for normal, ncur, urgent, ucur in env._buckets.values():
+        if any(e is not None for e in normal[:ncur] + (urgent or [])[:ucur]):
+            return False
+    return all(not b[0] and b[2] is None for b in env._bpool)
 
 
 class TestNegativeDelay:
@@ -121,7 +124,7 @@ class TestHorizonRollover:
         env.run()
         assert fired == sorted(delays)
         assert env.now == max(delays)
-        assert _table_is_clean(env)
+        assert _lanes_are_clean(env)
 
     def test_dense_near_and_sparse_far_interleave(self):
         env = Environment()
@@ -172,12 +175,13 @@ class TestHandleRecycling:
                 yield ev
                 yield env.timeout(0.25)
 
-        for _ in range(8):
-            env.process(worker(env))
+        procs = [env.process(worker(env)) for _ in range(8)]
+        # Stopping on the first worker's end leaves its bucket part-drained.
+        env.run(until=procs[0])
+        assert any(b[1] for b in env._buckets.values())
+        assert _lanes_are_clean(env)
         env.run()
-        assert _table_is_clean(env)
-        # Steady-state table stays small: slots recycle instead of grow.
-        assert len(env._table) < 8 * 50
+        assert _lanes_are_clean(env)
 
     def test_allof_defusal_recycles_slots(self):
         env = Environment()
@@ -199,7 +203,7 @@ class TestHandleRecycling:
         env.process(waiter(env))
         env.run()
         assert outcome == ["failed"]
-        assert _table_is_clean(env)
+        assert _lanes_are_clean(env)
 
     def test_anyof_defusal_recycles_slots(self):
         env = Environment()
@@ -222,7 +226,7 @@ class TestHandleRecycling:
         env.process(waiter(env))
         env.run()
         assert got == [["quick"]]
-        assert _table_is_clean(env)
+        assert _lanes_are_clean(env)
 
     def test_late_listener_pair_slots_recycled(self):
         env = Environment()
@@ -233,7 +237,7 @@ class TestHandleRecycling:
             ev.succeed("v")
             yield ev
             # ev is processed now: late listeners ride the urgent lane
-            # as callback pairs (or a relay outside fast mode).
+            # as (callback, origin) pairs (or a relay outside fast mode).
             ev._add_callback(lambda e: hits.append(e.value))
             ev._add_callback(lambda e: hits.append(e.value))
             yield env.timeout(1.0)
@@ -241,7 +245,7 @@ class TestHandleRecycling:
         env.process(proc(env))
         env.run()
         assert hits == ["v", "v"]
-        assert _table_is_clean(env)
+        assert _lanes_are_clean(env)
 
 
 class TestEngineCoexistence:
@@ -263,7 +267,7 @@ class TestEngineCoexistence:
         return log, env.events_processed
 
     def test_seed_zero_order_matches_calendar_engine(self):
-        """SeededOrder(0) (legacy heap, FIFO tiebreak) == calendar FIFO."""
+        """SeededOrder(0) (ordered lanes, FIFO tiebreak) == calendar FIFO."""
         fifo_log, fifo_events = self._workload(Environment())
         heap_log, heap_events = self._workload(
             Environment(order=SeededOrder(0))
@@ -283,15 +287,19 @@ class TestEngineCoexistence:
         # same multiset of deliveries.
         assert sorted(logs[7][0]) == sorted(logs[19][0])
 
-    def test_order_routes_to_heap_engine(self):
+    def test_order_routes_to_calendar_buckets(self):
         env = Environment(order=SeededOrder(3))
-        env.timeout(1.0)
-        assert env._heap and not env._buckets
+        a, b, c = env.timeout(1.0), env.timeout(1.0), env.timeout(2.0)
+        (lane, cursor, urgent, _), later = env._buckets.values()
+        # The 1.0 lane is sorted by the drawn keys, not schedule order.
+        assert sorted(lane, key=lambda e: e._key) == lane
+        assert set(lane) == {a, b} and later[0] == [c]
+        assert cursor == 0 and urgent is None and env._times == [1.0, 2.0]
         env.run()
-        assert not env._heap
+        assert not env._buckets and not env._times
 
     def test_fifo_routes_to_calendar_engine(self, env):
         env.timeout(1.0)
-        assert env._buckets and not env._heap
+        assert env._buckets and env._times == [1.0]
         env.run()
         assert not env._buckets

@@ -84,8 +84,7 @@ class TestEnvironmentDraws:
             if i % 3 == 0:
                 got.append(order.tiebreak(None))  # type: ignore[arg-type]
             else:
-                env.timeout(1.0)
-                got.append(max(env._heap, key=lambda entry: entry[3])[2])
+                got.append(env.timeout(1.0)._key)
         assert got == reference(seed, 3 * _BLOCK)
 
     @pytest.mark.parametrize("seed", [1, derive_seed(0, 5), _GOLDEN])
