@@ -1,20 +1,17 @@
 """Performance measurement for the JETS reproduction (``jets bench``).
 
 JETS' whole point is throughput: the paper's Fig. 6 plateau is set by
-per-operation dispatcher cost, and the ROADMAP's "as fast as the hardware
-allows" is unfalsifiable without a wall-clock trajectory.  This package
-is that trajectory:
+per-operation dispatcher cost.  This package measures the simulator's
+own speed where ``e2ebench/`` does not:
 
-* :mod:`.workloads` — named workload suites.  ``kernel`` microbenchmarks
-  isolate the simulator's hot paths (event churn, timeout storms,
-  interrupt storms, trace queries, aggregator scans, gauge integrals);
-  ``macro`` runs reduced cuts of the paper experiments end to end
-  (Fig. 6 sequential rate, Fig. 9 512-node MPI, a chaos mix, an explore
-  slice).
-* :mod:`.harness` — the measurement core: wall time, kernel events/sec,
-  peak RSS, and allocation stats via ``tracemalloc``; JSON emission
-  (``BENCH_kernel.json`` / ``BENCH_macro.json``) and baseline
-  comparison with regression gating.
+* :mod:`.workloads` — named workload suites.  ``kernel``
+  microbenchmarks isolate the simulator's hot paths; ``macro`` holds
+  the journaling pair (Fig. 6 with the journal off and on) and the
+  ``jobs_1m`` stream under its RSS budget.
+* :mod:`.harness` — the measurement core: wall time over alternating
+  rounds, kernel events/sec and peak RSS; ``BENCH_<suite>.json``; the
+  A/B against a base tree measured in the same session; the
+  ``--profile`` pass that feeds perf-lint.
 * :mod:`.cli` — the ``jets bench`` subcommand.
 
 Benchmark workloads intentionally read the wall clock — they measure it.

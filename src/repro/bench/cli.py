@@ -1,13 +1,14 @@
 """The ``jets bench`` subcommand.
 
 Runs one or both workload suites, prints a result table, writes
-``BENCH_<suite>.json`` files, and (with ``--against``) gates on wall-time
-regression versus a saved baseline::
+``BENCH_<suite>.json`` files, and (with ``--against``) runs an A/B
+against a base tree in the same session, gating on regression::
 
     jets bench                      # full kernel + macro suites
     jets bench --suite kernel       # one suite
-    jets bench --quick              # CI smoke sizes
-    jets bench --against BENCH_macro.json --threshold 30
+    jets bench --quick              # reduced sizes
+    mkdir -p /tmp/base && git archive HEAD^ src | tar -x -C /tmp/base
+    jets bench --suite kernel --repeat 5 --against /tmp/base/src
 
 Exit codes: 0 ok, 1 regression detected, 2 usage/IO error.
 """
@@ -22,8 +23,8 @@ from typing import Optional, Sequence
 from .harness import (
     BenchResult,
     compare_runs,
-    load_baseline,
     profile_suite,
+    run_ab,
     run_suite,
     write_profile,
     write_suite,
@@ -49,7 +50,7 @@ def build_bench_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="reduced iteration counts (CI smoke)",
+        help="reduced iteration counts",
     )
     parser.add_argument(
         "--out-dir",
@@ -60,9 +61,11 @@ def build_bench_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--against",
         default=None,
-        metavar="BENCH.json",
-        help="compare against a saved baseline; fail on regression. "
-        "The baseline's suite name selects which fresh suite it gates.",
+        metavar="SRC",
+        help="A/B against the base tree's src directory (e.g. from "
+        "`git archive HEAD^ src`): each round runs the base and this "
+        "tree as fresh `jets bench --repeat 1` children, alternating "
+        "which goes first; fail on regression",
     )
     parser.add_argument(
         "--threshold",
@@ -72,17 +75,12 @@ def build_bench_parser() -> argparse.ArgumentParser:
         help="wall-time regression tolerance in percent (default: 25)",
     )
     parser.add_argument(
-        "--no-mem",
-        action="store_true",
-        help="skip the tracemalloc memory pass (halves runtime)",
-    )
-    parser.add_argument(
         "--repeat",
         type=int,
         default=1,
         metavar="N",
-        help="timed-pass repetitions per workload; the minimum wall "
-        "time is reported (default: 1)",
+        help="timed rounds over the suite, alternating the order; each "
+        "workload reports its minimum wall time (default: 1)",
     )
     parser.add_argument(
         "--only",
@@ -99,7 +97,7 @@ def build_bench_parser() -> argparse.ArgumentParser:
         "cProfile and write BENCH_profile.json (top-N project "
         "functions by cumulative time; feeds `jets lint "
         "--hot-profile`). Profiled numbers never enter the timed "
-        "results, so baselines stay comparable",
+        "results",
     )
     parser.add_argument(
         "--profile-top",
@@ -129,63 +127,61 @@ def _print_result(result: BenchResult) -> None:
     if result.events_per_s:
         parts.append(f"{result.events_per_s:>12,.0f} ev/s")
     parts.append(f"rss {result.peak_rss_kb // 1024} MB")
-    if result.alloc_peak_kb is not None:
-        parts.append(f"alloc-peak {result.alloc_peak_kb / 1024:.1f} MB")
     print("  ".join(parts))
 
 
 def bench_main(argv: Optional[Sequence[str]] = None) -> int:
     """``jets bench`` entry point; returns the process exit code."""
-    args = build_bench_parser().parse_args(argv)
+    parser = build_bench_parser()
+    args = parser.parse_args(argv)
+    # Less is meaningless: no timed round, an empty profile, a budget
+    # that every workload exceeds, or a bound that fails a faster run.
+    for flag in ("--repeat", "--profile-top", "--rss-budget-mb", "--threshold"):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and not value > 0:
+            parser.error(f"{flag} must be positive")
     suites = sorted(SUITES) if args.suite == "all" else [args.suite]
 
-    baseline = None
-    if args.against is not None:
-        try:
-            baseline = load_baseline(args.against)
-        except OSError as exc:
-            print(f"jets bench: cannot read {args.against}: {exc}",
-                  file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"jets bench: {exc}", file=sys.stderr)
-            return 2
+    if args.against is not None and not os.path.isdir(
+        os.path.join(args.against, "repro")
+    ):
+        print(f"jets bench: {args.against} holds no repro package",
+              file=sys.stderr)
+        return 2
 
     if not os.path.isdir(args.out_dir):
         print(f"jets bench: {args.out_dir} is not a directory",
               file=sys.stderr)
         return 2
 
+    def _print_round(r, walls):
+        print(f"  round {r + 1}/{args.repeat}: " + ", ".join(
+            f"{side} {wall:.3f}s" for side, wall in walls
+        ))
+
     exit_code = 0
     profiled: dict[str, list[dict]] = {}
     for suite in suites:
         print(f"suite {suite}{' (quick)' if args.quick else ''}:")
+        baseline = None
         try:
-            run = run_suite(
-                suite,
-                quick=args.quick,
-                memory=not args.no_mem,
-                progress=_print_result,
-                repeats=max(1, args.repeat),
-                only=args.only,
-            )
-        except KeyError as exc:
+            if args.against is None:
+                run = run_suite(suite, args.quick, args.repeat, args.only)
+            else:
+                run, baseline = run_ab(
+                    suite, args.against, args.quick, args.repeat, args.only,
+                    progress=_print_round,
+                )
+        except (KeyError, RuntimeError) as exc:
             print(f"jets bench: {exc.args[0]}", file=sys.stderr)
             return 2
-        suite_baseline = (
-            baseline if baseline is not None and baseline.get("suite") == suite
-            else None
-        )
+        for result in run.results:
+            _print_result(result)
         out_path = os.path.join(args.out_dir, f"BENCH_{suite}.json")
-        write_suite(
-            run,
-            out_path,
-            baseline=suite_baseline,
-            baseline_source=args.against if suite_baseline else "",
-        )
+        write_suite(run, out_path, baseline, args.against or "")
         print(f"  wrote {out_path}")
-        if suite_baseline is not None:
-            cmp = compare_runs(run, suite_baseline, args.threshold)
+        if baseline is not None:
+            cmp = compare_runs(run, baseline, args.threshold)
             for name, (old, new, speedup) in sorted(cmp.walls.items()):
                 print(
                     f"  {name:<18} {old:8.3f}s -> {new:8.3f}s  "
@@ -213,14 +209,14 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
             profiled.update(profile_suite(
                 suite,
                 quick=args.quick,
-                top=max(1, args.profile_top),
+                top=args.profile_top,
                 only=args.only,
             ))
     if args.profile:
         profile_path = os.path.join(args.out_dir, "BENCH_profile.json")
         write_profile(
             profiled, profile_path,
-            quick=args.quick, top=max(1, args.profile_top),
+            quick=args.quick, top=args.profile_top,
         )
         print(f"wrote {profile_path} ({len(profiled)} workloads)")
     return exit_code

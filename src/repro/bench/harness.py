@@ -1,67 +1,54 @@
 """Measurement core for ``jets bench``.
 
-Each workload is run twice: a *timed* pass (wall clock only — nothing
-else is sampling while the clock runs) and an optional *memory* pass
-under :mod:`tracemalloc` (which slows execution several-fold, so its
-numbers never contaminate the timing).  Peak RSS comes from
-``getrusage`` and is a process-wide high-water mark: workloads early in
-a suite report their own footprint, later ones report the running
-maximum.
+A repeat is one round over the selected workloads, each timed once by
+the wall clock alone; the order alternates every round, so host drift
+lands on each workload alike.  A workload reports the minimum wall time
+of its rounds and their median.  Peak RSS comes from ``getrusage`` and
+is a process-wide high-water mark, read after a workload's first round:
+workloads early in a suite report their own footprint, later ones the
+running maximum.
 
 The JSON layout (one file per suite, ``BENCH_<suite>.json``)::
 
-    {
-      "schema": 1,
-      "suite": "macro",
-      "quick": false,
-      "repeats": 3,
-      "python": "3.12.3",
-      "results": {
-        "fig09_mpi512": {
-          "wall_s": 1.93, "wall_median_s": 1.97,
-          "events": 1182732, "events_per_s": 612814.5,
-          "sim_s": 672.2, "peak_rss_kb": 151220,
-          "alloc_peak_kb": 78123.4, "alloc_net_blocks": 51234,
-          "meta": {...workload parameters...}
-        }, ...
-      },
-      "baseline": {"source": "BENCH_macro.json", "wall_s": {...}},
-      "speedup": {"fig09_mpi512": 1.41, ...}
-    }
+    {"schema": 1, "suite": "kernel", "quick": false, "repeats": 5,
+     "python": "3.11.7",
+     "results": {"timeout_storm": {
+         "wall_s": 0.131, "wall_median_s": 0.139, "events": 91800,
+         "events_per_s": 700763.4, "sim_s": 300.0, "peak_rss_kb": 31520,
+         "meta": {...workload parameters...}}, ...},
+     "baseline": {"source": "/tmp/base/src", "wall_s": {...}},
+     "speedup": {"timeout_storm": 1.02, ...}}
 
-``baseline``/``speedup`` appear when the run was compared against an
-earlier file (``jets bench --against``): ``speedup`` is
-``baseline_wall / new_wall`` per workload, so values above 1 are
-improvements.  Comparison fails a workload when its wall time regresses
-by more than the threshold, or when its (deterministic) kernel event
-count grows beyond a small tolerance — event counts transfer across
-machines, wall times only roughly.
+``baseline``/``speedup`` appear when the run was an A/B against a base
+tree (``jets bench --against SRC``, :func:`run_ab`): ``baseline`` holds
+the base's minimum walls, and ``speedup`` is ``base_wall / new_wall``
+per workload, so values above 1 are improvements.  Comparison fails a
+workload when its wall time regresses by more than the threshold, or
+when its (deterministic) kernel event count grows beyond a small
+tolerance.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import resource
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
-import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
+
+import repro
 
 from .workloads import SUITES, Workload
 
 __all__ = [
-    "BenchResult",
-    "SuiteRun",
-    "Comparison",
-    "run_workload",
-    "run_suite",
-    "write_suite",
-    "load_baseline",
-    "compare_runs",
-    "profile_workload",
-    "profile_suite",
-    "write_profile",
+    "BenchResult", "SuiteRun", "Comparison", "run_workload", "run_suite",
+    "run_ab", "write_suite", "compare_runs", "profile_workload",
+    "profile_suite", "write_profile",
 ]
 
 #: JSON schema version of the BENCH files.
@@ -83,12 +70,16 @@ class BenchResult:
     #: and the typical cost.
     wall_median_s: Optional[float] = None
     events: Optional[int] = None
-    events_per_s: Optional[float] = None
     sim_s: Optional[float] = None
     peak_rss_kb: int = 0
-    alloc_peak_kb: Optional[float] = None
-    alloc_net_blocks: Optional[int] = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def events_per_s(self) -> Optional[float]:
+        """Kernel events per second of ``wall_s``."""
+        if self.events and self.wall_s > 0:
+            return self.events / self.wall_s
+        return None
 
     def to_json(self) -> dict:
         out: dict = {"wall_s": round(self.wall_s, 6)}
@@ -100,13 +91,18 @@ class BenchResult:
         if self.sim_s is not None:
             out["sim_s"] = round(self.sim_s, 6)
         out["peak_rss_kb"] = self.peak_rss_kb
-        if self.alloc_peak_kb is not None:
-            out["alloc_peak_kb"] = round(self.alloc_peak_kb, 1)
-        if self.alloc_net_blocks is not None:
-            out["alloc_net_blocks"] = self.alloc_net_blocks
         if self.meta:
             out["meta"] = self.meta
         return out
+
+    @classmethod
+    def from_json(cls, name: str, entry: dict) -> "BenchResult":
+        """One entry of a BENCH file's ``results``; other keys ignored."""
+        return cls(
+            name, entry["wall_s"], events=entry.get("events"),
+            sim_s=entry.get("sim_s"), peak_rss_kb=entry["peak_rss_kb"],
+            meta=entry.get("meta", {}),
+        )
 
 
 @dataclass
@@ -116,14 +112,8 @@ class SuiteRun:
     suite: str
     quick: bool
     results: list[BenchResult] = field(default_factory=list)
-    #: Timed-pass repetitions per workload (wall_s is the minimum).
+    #: Timed rounds over the suite (wall_s is each workload's minimum).
     repeats: int = 1
-
-    def result(self, name: str) -> Optional[BenchResult]:
-        for r in self.results:
-            if r.name == name:
-                return r
-        return None
 
     def to_json(self) -> dict:
         return {
@@ -136,81 +126,10 @@ class SuiteRun:
         }
 
 
-def _peak_rss_kb() -> int:
-    """Process high-water RSS in KB (ru_maxrss unit on Linux)."""
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+def _select(suite: str, only: Optional[list[str]] = None) -> list[Workload]:
+    """A suite's workloads in declaration order, restricted to ``only``.
 
-
-def run_workload(
-    workload: Workload,
-    quick: bool = False,
-    memory: bool = True,
-    repeats: int = 1,
-) -> BenchResult:
-    """Measure one workload: timed pass(es), then optional tracemalloc pass.
-
-    With ``repeats > 1`` the timed pass runs that many times; the
-    *minimum* wall time is reported as ``wall_s`` — the standard
-    noise-rejection move: a run can only be slowed down by interference,
-    never sped up, so the minimum is the best estimate of the workload's
-    true cost — and the *median* as ``wall_median_s``, the typical cost
-    under whatever noise the machine had.  The workload outputs (events,
-    sim time) are deterministic across repeats.
-    """
-    walls: list[float] = []
-    out: dict = {}
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()  # repro: noqa[DT001]
-        out = workload.fn(quick) or {}
-        walls.append(time.perf_counter() - t0)  # repro: noqa[DT001]
-    wall = min(walls)
-    ordered = sorted(walls)
-    mid = len(ordered) // 2
-    median = (
-        ordered[mid]
-        if len(ordered) % 2
-        else (ordered[mid - 1] + ordered[mid]) / 2.0
-    )
-
-    events = out.pop("events", None)
-    sim_s = out.pop("sim_s", None)
-    result = BenchResult(
-        name=workload.name,
-        wall_s=wall,
-        wall_median_s=median,
-        events=events,
-        events_per_s=(events / wall) if events and wall > 0 else None,
-        sim_s=sim_s,
-        peak_rss_kb=_peak_rss_kb(),
-        meta=out,
-    )
-
-    if memory:
-        blocks0 = sys.getallocatedblocks()
-        tracemalloc.start()
-        try:
-            workload.fn(quick)
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        result.alloc_peak_kb = peak / 1024.0
-        result.alloc_net_blocks = sys.getallocatedblocks() - blocks0
-    return result
-
-
-def run_suite(
-    suite: str,
-    quick: bool = False,
-    memory: bool = True,
-    progress=None,
-    repeats: int = 1,
-    only: Optional[list[str]] = None,
-) -> SuiteRun:
-    """Run every workload of a named suite, in declaration order.
-
-    ``only`` restricts to the named workloads — the memory-budget CI
-    job uses it so peak RSS (a process-wide high-water mark) reflects a
-    single workload rather than everything that ran before it.
+    Raises KeyError naming an unknown suite or workload.
     """
     workloads = SUITES.get(suite)
     if workloads is None:
@@ -224,13 +143,140 @@ def run_suite(
                 + ", ".join(sorted(unknown))
             )
         workloads = [wl for wl in workloads if wl.name in set(only)]
-    run = SuiteRun(suite=suite, quick=quick, repeats=repeats)
-    for wl in workloads:
-        result = run_workload(wl, quick=quick, memory=memory, repeats=repeats)
-        run.results.append(result)
-        if progress is not None:
-            progress(result)
-    return run
+    return workloads
+
+
+def run_workload(workload: Workload, quick: bool = False) -> BenchResult:
+    """Time one call of a workload.
+
+    The dict it returns gives ``events`` and ``sim_s``; its other keys
+    become ``meta``.
+    """
+    t0 = time.perf_counter()  # repro: noqa[DT001]
+    out = workload.fn(quick) or {}
+    wall = time.perf_counter() - t0  # repro: noqa[DT001]
+    return BenchResult(
+        name=workload.name,
+        wall_s=wall,
+        events=out.pop("events", None),
+        sim_s=out.pop("sim_s", None),
+        # The process high-water mark; ru_maxrss is in KB on Linux.
+        peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        meta=out,
+    )
+
+
+def _fold(rounds: list[BenchResult]) -> BenchResult:
+    """One workload's rounds as one result.
+
+    The *minimum* wall is ``wall_s``: interference can only slow a run
+    down, so the minimum is the best estimate of the true cost.  The
+    median is ``wall_median_s``, the typical cost under the host's
+    noise.  Outputs are deterministic, so the last round's stand for
+    all; peak RSS is the first round's.
+    """
+    return replace(
+        rounds[-1],
+        wall_s=min(r.wall_s for r in rounds),
+        wall_median_s=statistics.median(r.wall_s for r in rounds),
+        peak_rss_kb=rounds[0].peak_rss_kb,
+    )
+
+
+def run_suite(
+    suite: str,
+    quick: bool = False,
+    repeats: int = 1,
+    only: Optional[list[str]] = None,
+) -> SuiteRun:
+    """Run ``repeats`` rounds over a suite's workloads (``only`` those).
+
+    Round 1 runs them in declaration order, and each later round in the
+    reverse order of the one before.  ``only`` lets the memory-budget CI
+    job keep peak RSS (a process-wide high-water mark) to one workload.
+    """
+    workloads = _select(suite, only)
+    rounds: dict[str, list[BenchResult]] = {wl.name: [] for wl in workloads}
+    for r in range(repeats):
+        for wl in workloads[::-1] if r % 2 else workloads:
+            rounds[wl.name].append(run_workload(wl, quick))
+    return SuiteRun(suite, quick, repeats=repeats, results=[
+        _fold(rounds[wl.name]) for wl in workloads
+    ])
+
+
+def _child(src: str, suite: str, quick: bool, only, tmp: str) -> dict:
+    """One round of ``jets bench`` in a fresh interpreter on tree ``src``;
+    the ``results`` of the BENCH file it writes.
+
+    The child gets only ``--suite``, ``--repeat``, ``--out-dir``,
+    ``--quick`` and ``--only``, which older trees accept too, and runs
+    in ``tmp`` so that the working directory shadows no ``repro``
+    package.
+    """
+    cmd = [
+        sys.executable, "-m", "repro.core.cli", "bench", "--suite", suite,
+        "--repeat", "1", "--out-dir", tmp,
+    ]
+    if quick:
+        cmd.append("--quick")
+    for name in only or ():
+        cmd += ["--only", name]
+    proc = subprocess.run(
+        cmd, cwd=tmp, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"jets bench on {src} exited {proc.returncode}: "
+            + proc.stderr.strip()
+        )
+    with open(os.path.join(tmp, f"BENCH_{suite}.json")) as fh:
+        return json.load(fh)["results"]
+
+
+def run_ab(
+    suite: str,
+    against: str,
+    quick: bool = False,
+    repeats: int = 1,
+    only: Optional[list[str]] = None,
+    progress=None,
+) -> tuple[SuiteRun, dict]:
+    """A/B a suite against the base tree ``against`` (a ``src`` dir).
+
+    Each of ``repeats`` rounds runs :func:`_child` once on the base and
+    once on this tree, alternating which goes first, so both sides see
+    the same host and one timing path (:func:`run_workload` in each
+    child).  Returns this tree's run and the base's document, each
+    workload folded over its rounds as :func:`run_suite` folds them, for
+    :func:`compare_runs` to judge.  ``progress(round, walls)`` gets each
+    round's ``(side, summed wall)`` pairs in running order.
+    """
+    _select(suite, only)
+    here = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    trees = {"base": os.path.abspath(against), "this": here}
+    rounds: dict[str, list[dict]] = {"base": [], "this": []}
+    with tempfile.TemporaryDirectory(prefix="jets-bench-") as tmp:
+        for r in range(repeats):
+            walls = []
+            for side in ("this", "base") if r % 2 else ("base", "this"):
+                results = _child(trees[side], suite, quick, only, tmp)
+                rounds[side].append(results)
+                walls.append(
+                    (side, sum(e["wall_s"] for e in results.values()))
+                )
+            if progress is not None:
+                progress(r, walls)
+
+    def folded(side: str) -> SuiteRun:
+        docs = rounds[side]
+        return SuiteRun(suite, quick, repeats=repeats, results=[
+            _fold([BenchResult.from_json(name, doc[name]) for doc in docs])
+            for name in docs[0]
+        ])
+
+    return folded("this"), folded("base").to_json()
 
 
 def write_suite(
@@ -243,46 +289,25 @@ def write_suite(
     doc = run.to_json()
     if baseline is not None:
         base_walls = {
-            name: entry.get("wall_s")
-            for name, entry in baseline.get("results", {}).items()
+            name: entry["wall_s"]
+            for name, entry in baseline["results"].items()
         }
-        doc["baseline"] = {
-            "source": baseline_source or "baseline",
-            "wall_s": {
-                k: v for k, v in base_walls.items() if v is not None
-            },
+        doc["baseline"] = {"source": baseline_source, "wall_s": base_walls}
+        doc["speedup"] = {
+            r.name: round(base_walls[r.name] / r.wall_s, 3)
+            for r in run.results
+            if r.name in base_walls and r.wall_s > 0
         }
-        speedups: dict[str, float] = {}
-        for result in run.results:
-            old = base_walls.get(result.name)
-            if old and result.wall_s > 0:
-                speedups[result.name] = round(old / result.wall_s, 3)
-        doc["speedup"] = speedups
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=False)
         fh.write("\n")
     return doc
 
 
-def load_baseline(path: str) -> dict:
-    """Load a BENCH JSON file, validating the schema tag."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "results" not in doc:
-        raise ValueError(f"{path} is not a jets bench JSON file")
-    if doc.get("schema", 1) > SCHEMA:
-        raise ValueError(
-            f"{path} uses bench schema {doc['schema']}; this build "
-            f"understands up to {SCHEMA}"
-        )
-    return doc
-
-
 @dataclass
 class Comparison:
-    """Outcome of comparing a fresh run against a baseline file."""
+    """Outcome of comparing this tree's run against the base's."""
 
-    threshold_pct: float
     #: workload -> (baseline wall, new wall, speedup)
     walls: dict[str, tuple[float, float, float]] = field(default_factory=dict)
     regressions: list[str] = field(default_factory=list)
@@ -301,13 +326,13 @@ def compare_runs(
     A workload regresses when its wall time exceeds the baseline by more
     than ``threshold_pct`` percent, or when its deterministic kernel
     event count grew beyond :data:`EVENT_GROWTH_TOLERANCE`.  Workloads
-    whose parameters differ from the baseline (e.g. a ``--quick`` run
-    against a full baseline) are skipped, not compared — as is any
-    workload present on only one side (a fresh workload has no baseline
-    yet; a retired one no fresh run), so baseline files survive workload
-    additions and removals with a warning instead of an error.
+    whose parameters differ from the baseline (a change that resized a
+    workload) are skipped, not compared — as is any workload present on
+    only one side (a fresh workload has no baseline yet; a retired one
+    no fresh run), so an A/B across a change that adds or retires a
+    workload notes it instead of failing.
     """
-    cmp = Comparison(threshold_pct=threshold_pct)
+    cmp = Comparison()
     skipped, regressions = cmp.skipped, cmp.regressions
     base_results = baseline.get("results", {})
     for result in run.results:
@@ -348,7 +373,7 @@ def compare_runs(
 #
 # Run *after* (and separately from) the timed pass: cProfile's tracing
 # overhead would contaminate wall times, so profiled numbers never enter
-# BENCH_<suite>.json and baselines stay comparable.  The output feeds
+# BENCH_<suite>.json.  The output feeds
 # ``jets lint --hot-profile`` / ``jets hotpath --hot-profile``: the
 # top-N cumulative-time functions join the statically computed hot set.
 
@@ -410,7 +435,6 @@ def profile_workload(
     ids resolvable against the call graph.
     """
     import cProfile
-    import os
     import pstats
 
     prof = cProfile.Profile()
@@ -441,20 +465,12 @@ def profile_suite(
     quick: bool = False,
     top: int = 25,
     only: Optional[list[str]] = None,
-    progress=None,
 ) -> dict[str, list[dict]]:
     """Profile every workload of a suite; workload name -> top frames."""
-    workloads = SUITES.get(suite)
-    if workloads is None:
-        raise KeyError(f"unknown bench suite {suite!r}")
-    if only:
-        workloads = [wl for wl in workloads if wl.name in set(only)]
-    out: dict[str, list[dict]] = {}
-    for wl in workloads:
-        out[wl.name] = profile_workload(wl, quick=quick, top=top)
-        if progress is not None:
-            progress(wl.name, out[wl.name])
-    return out
+    return {
+        wl.name: profile_workload(wl, quick=quick, top=top)
+        for wl in _select(suite, only)
+    }
 
 
 def write_profile(

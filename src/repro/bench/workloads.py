@@ -7,10 +7,11 @@ Two suites:
   ties (the batched-pop case), interrupt storms (bridge events), trace
   category queries (the report/lint/protocol read path), aggregator
   dispatch scans, and gauge integrals.
-* ``macro`` — reduced cuts of the paper experiments end to end: the
-  Fig. 6 sequential launch-rate sweep, the Fig. 9 512-node MPI
-  utilization point, a chaos-plan mix, and a slice of the schedule
-  explorer.
+* ``macro`` — what ``e2ebench/`` does not measure: the journaling pair
+  (the Fig. 6 sequential launch-rate sweep with the run journal off and
+  on, whose wall-time delta CI gates) and the ``jobs_1m`` stream under
+  its RSS budget.  Fig. 9 and the campaigns are e2ebench's
+  ``mpi_wireup`` and ``chaos_campaign``.
 
 Each workload is a plain function ``fn(quick: bool) -> dict``.  The dict
 may carry ``events`` (kernel events processed) and ``sim_s`` (simulated
@@ -303,7 +304,7 @@ def _collect(runs) -> dict:
     return {"events": events, "sim_s": round(sim_s, 6), "records": records}
 
 
-def _fig06_rate(quick: bool) -> dict:
+def _fig06_rate(quick: bool, journal_path=None) -> dict:
     """Fig. 6 sequential launch-rate sweep (reduced allocation)."""
     from ..experiments import fig06_sequential
     from ..obs import session
@@ -312,7 +313,8 @@ def _fig06_rate(quick: bool) -> dict:
     tpn = 4 if quick else 8
     with session() as s:
         rows = fig06_sequential.run(
-            node_sizes=nodes, tasks_per_node=tpn, seed=0
+            node_sizes=nodes, tasks_per_node=tpn, seed=0,
+            journal_path=journal_path,
         )
     out = _collect(s.runs)
     out.update(
@@ -330,95 +332,22 @@ def _fig06_journal(quick: bool) -> dict:
     Same workload parameters as ``fig06_rate``, so the wall-time delta
     between the two in one bench invocation prices journaling overhead
     (CI's chaos-resume job gates it below 5%).  The journal goes to a
-    fresh temp file each call and is deleted afterwards; only its
-    (deterministic) record count lands in the result meta.
+    fresh temp file each call and is deleted afterwards; only its size
+    lands in the result meta.  One ``stat`` reads it: reading the
+    journal back would time measurement, not journaling.  The size
+    spells out job ids, which are process-wide, so it repeats only
+    across processes that made the same jobs before this call.
     """
     import os
     import tempfile
 
-    from ..experiments import fig06_sequential
-    from ..obs import session
-
-    nodes = (64,) if quick else (256,)
-    tpn = 4 if quick else 8
     fd, path = tempfile.mkstemp(prefix="jets-bench-", suffix=".journal")
     os.close(fd)
     try:
-        with session() as s:
-            rows = fig06_sequential.run(
-                node_sizes=nodes, tasks_per_node=tpn, seed=0,
-                journal_path=path,
-            )
-        with open(path, "rb") as fh:
-            journal_records = sum(1 for line in fh if line.strip())
+        out = _fig06_rate(quick, journal_path=path)
+        out["journal_bytes"] = os.stat(path).st_size
     finally:
         os.unlink(path)
-    out = _collect(s.runs)
-    out.update(
-        nodes=list(nodes),
-        tasks_per_node=tpn,
-        rate=rows[-1]["rate"],
-        completed=rows[-1]["completed"],
-        journal_records=journal_records,
-    )
-    return out
-
-
-def _fig09_mpi512(quick: bool) -> dict:
-    """Fig. 9 MPI point: 512 nodes, 8-process tasks (128 nodes in quick)."""
-    from ..experiments import fig09_bgp
-    from ..obs import session
-
-    alloc = 128 if quick else 512
-    tpn = 2 if quick else 4
-    with session() as s:
-        rows = fig09_bgp.run(
-            alloc_sizes=(alloc,),
-            task_sizes=(8,),
-            duration=10.0,
-            tasks_per_node=tpn,
-            seed=0,
-        )
-    out = _collect(s.runs)
-    out.update(
-        alloc=alloc,
-        tasks_per_node=tpn,
-        util=rows[0]["util"],
-        jobs=rows[0]["jobs"],
-    )
-    return out
-
-
-def _chaos_mix(quick: bool) -> dict:
-    """A slice of the chaos campaign: all-kind fault plans with recovery."""
-    from ..core.chaos import ChaosConfig, chaos_campaign
-    from ..obs import session
-
-    plans = 5 if quick else 20
-    with session() as s:
-        results = chaos_campaign(ChaosConfig(plans=plans)).results
-    out = _collect(s.runs)
-    out.update(
-        plans=plans,
-        ok=sum(1 for r in results if r.ok),
-        respawns=sum(r.respawns for r in results),
-    )
-    return out
-
-
-def _explore_slice(quick: bool) -> dict:
-    """A slice of the schedule explorer: permuted event orders + oracles."""
-    from ..analysis.explore import ExploreConfig, explore
-    from ..obs import session
-
-    schedules = 10 if quick else 40
-    with session() as s:
-        results = explore(ExploreConfig(schedules=schedules)).results
-    out = _collect(s.runs)
-    out.update(
-        schedules=schedules,
-        drained=sum(1 for r in results if r.drained),
-    )
     return out
 
 
@@ -523,9 +452,6 @@ SUITES: dict[str, list[Workload]] = {
             "fig06_journal", _fig06_journal,
             "fig06_rate twin with the run journal on (overhead gate)",
         ),
-        Workload("fig09_mpi512", _fig09_mpi512, "Fig. 9 512-node MPI point"),
-        Workload("chaos_mix", _chaos_mix, "chaos plans with recovery"),
-        Workload("explore_slice", _explore_slice, "schedule-explorer slice"),
         Workload(
             "jobs_1m", _jobs_1m, "million-event stream, bounded trace"
         ),

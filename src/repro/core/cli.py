@@ -19,8 +19,8 @@ Usage::
     jets hotpath [FUNC] [--hot-profile BENCH_profile.json]
     jets explore [--schedules N] [--seed S]
     jets chaos [--plans N] [--seed S]
-    jets bench [--suite kernel|macro|all] [--quick]
-               [--against BENCH.json] [--threshold PCT]
+    jets bench [--suite kernel|macro|all] [--quick] [--repeat N]
+               [--against BASE_SRC] [--threshold PCT]
 
 ``TASKFILE`` uses the paper's input format, e.g.::
 
@@ -53,13 +53,13 @@ message drop/delay, partitions, staging faults) with the recovery
 machinery enabled, held to the same validators plus exact job
 accounting (:mod:`repro.core.chaos`).  ``jets bench`` runs the
 performance workload suites and writes ``BENCH_<suite>.json``
-(:mod:`repro.bench`); with ``--against`` it gates on wall-time
-regression versus a saved baseline.  ``--journal`` appends a
-crash-consistent write-ahead journal of the run's durable state
-transitions, and ``jets resume`` restarts a crashed run from one —
-skipping completed jobs, resubmitting in-flight ones
-(:mod:`repro.core.resume`, DESIGN.md §15); ``jets resume --verify``
-runs the seeded crash-equivalence campaign.
+(:mod:`repro.bench`); with ``--against`` it runs an A/B against a base
+tree's ``src`` in the same session and gates on regression.
+``--journal`` appends a crash-consistent write-ahead journal of the
+run's durable state transitions, and ``jets resume`` restarts a
+crashed run from one — skipping completed jobs, resubmitting in-flight
+ones (:mod:`repro.core.resume`, DESIGN.md §15); ``jets resume
+--verify`` runs the seeded crash-equivalence campaign.
 """
 
 from __future__ import annotations

@@ -32,21 +32,18 @@ def fake_suites(monkeypatch):
 
 class TestOnlyFilter:
     def test_only_restricts_to_named_workloads(self, fake_suites):
-        run = run_suite("kernel", memory=False, only=["c", "a"])
+        run = run_suite("kernel", only=["c", "a"])
         assert [r.name for r in run.results] == ["a", "c"]
 
     def test_unknown_only_name_raises_with_listing(self, fake_suites):
         with pytest.raises(KeyError, match="nope"):
-            run_suite("kernel", memory=False, only=["a", "nope"])
+            run_suite("kernel", only=["a", "nope"])
 
     def test_cli_only_flag(self, fake_suites, tmp_path, capsys):
         from repro.bench.cli import bench_main
 
         assert bench_main(
-            [
-                "--suite", "kernel", "--only", "b", "--no-mem",
-                "--out-dir", str(tmp_path),
-            ]
+            ["--suite", "kernel", "--only", "b", "--out-dir", str(tmp_path)]
         ) == 0
         doc = json.loads((tmp_path / "BENCH_kernel.json").read_text())
         assert set(doc["results"]) == {"b"}
@@ -55,10 +52,7 @@ class TestOnlyFilter:
         from repro.bench.cli import bench_main
 
         rc = bench_main(
-            [
-                "--suite", "kernel", "--only", "nope", "--no-mem",
-                "--out-dir", str(tmp_path),
-            ]
+            ["--suite", "kernel", "--only", "nope", "--out-dir", str(tmp_path)]
         )
         assert rc == 2
         assert "nope" in capsys.readouterr().err
@@ -69,33 +63,47 @@ class TestRssBudget:
         from repro.bench.cli import bench_main
 
         # Any real process RSS is far below a terabyte.
-        assert bench_main(
-            [
-                "--suite", "kernel", "--only", "a", "--no-mem",
-                "--rss-budget-mb", "1000000",
-                "--out-dir", str(tmp_path),
-            ]
-        ) == 0
+        assert bench_main([
+            "--suite", "kernel", "--only", "a", "--rss-budget-mb", "1000000",
+            "--out-dir", str(tmp_path),
+        ]) == 0
 
     def test_budget_below_usage_fails(self, fake_suites, tmp_path, capsys):
         from repro.bench.cli import bench_main
 
         # ...and always above one megabyte.
-        rc = bench_main(
-            [
-                "--suite", "kernel", "--only", "a", "--no-mem",
-                "--rss-budget-mb", "1",
-                "--out-dir", str(tmp_path),
-            ]
-        )
+        rc = bench_main([
+            "--suite", "kernel", "--only", "a", "--rss-budget-mb", "1",
+            "--out-dir", str(tmp_path),
+        ])
         assert rc == 1
         assert "RSS BUDGET EXCEEDED" in capsys.readouterr().err
 
 
+class TestFlagRanges:
+    @pytest.mark.parametrize("flag,value", [
+        ("--repeat", "0"), ("--repeat", "-3"), ("--profile-top", "0"),
+        ("--rss-budget-mb", "-1"), ("--threshold", "-100"),
+    ])
+    def test_out_of_range_value_is_a_usage_error(
+        self, fake_suites, tmp_path, capsys, flag, value
+    ):
+        from repro.bench.cli import bench_main
+
+        with pytest.raises(SystemExit) as exc:
+            bench_main(
+                ["--suite", "kernel", flag, value, "--out-dir", str(tmp_path)]
+            )
+        assert exc.value.code == 2
+        assert f"{flag} must be positive" in capsys.readouterr().err
+
+
 class TestMacroSuiteRegistration:
     def test_jobs_1m_is_a_macro_workload(self):
+        # e2ebench's mpi_wireup and chaos_campaign time Fig. 9 and the
+        # campaigns; the macro suite keeps only what e2ebench does not.
         names = [wl.name for wl in SUITES["macro"]]
-        assert "jobs_1m" in names
+        assert names == ["fig06_rate", "fig06_journal", "jobs_1m"]
 
     def test_jobs_1m_streams_and_balances(self, monkeypatch, tmp_path):
         """A scaled-down jobs_1m pass: streaming sink, spill, accounting.

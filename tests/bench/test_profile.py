@@ -101,7 +101,7 @@ class TestBenchCliProfile:
         monkeypatch.setattr(cli, "SUITES", fake)
         assert cli.bench_main([
             "--suite", "kernel", "--out-dir", str(tmp_path),
-            "--no-mem", "--profile", "--profile-top", "5",
+            "--profile", "--profile-top", "5",
         ]) == 0
         path = tmp_path / "BENCH_profile.json"
         doc = json.loads(path.read_text())
@@ -121,6 +121,6 @@ class TestBenchCliProfile:
         monkeypatch.setattr(harness, "SUITES", fake)
         monkeypatch.setattr(cli, "SUITES", fake)
         assert cli.bench_main([
-            "--suite", "kernel", "--out-dir", str(tmp_path), "--no-mem",
+            "--suite", "kernel", "--out-dir", str(tmp_path),
         ]) == 0
         assert not (tmp_path / "BENCH_profile.json").exists()
