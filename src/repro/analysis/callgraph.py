@@ -67,9 +67,7 @@ DEFAULT_ENTRIES: tuple[str, ...] = (
     "Event.fail",
     "Process._resume",
     "Store._dispatch",
-    "PriorityStore._dispatch",
     "FilterStore._dispatch",
-    "Container._dispatch",
     "Resource._grant",
     "JetsDispatcher._handle_worker",
     "JetsDispatcher._scheduler_loop",

@@ -4,9 +4,8 @@ Two suites:
 
 * ``kernel`` — microbenchmarks that isolate one hot path each: raw event
   churn (allocate/trigger/resume), timeout storms with heavy same-time
-  ties (the batched-pop case), interrupt storms (bridge events), trace
-  category queries (the report/lint/protocol read path), aggregator
-  dispatch scans, and gauge integrals.
+  ties (the batched-pop case), interrupt storms (bridge events),
+  aggregator dispatch scans, and gauge integrals.
 * ``macro`` — what ``e2ebench/`` does not measure: the journaling pair
   (the Fig. 6 sequential launch-rate sweep with the run journal off and
   on, whose wall-time delta CI gates) and the ``jobs_1m`` stream under
@@ -204,35 +203,6 @@ def _interrupt_storm(quick: bool) -> dict:
     }
 
 
-def _trace_query(quick: bool) -> dict:
-    """Category select/times queries — the report/lint/protocol read path."""
-    from ..simkernel import Environment
-    from ..simkernel.monitor import Trace
-
-    families = 6
-    cats = 24
-    per_cat = 100 if quick else 400
-    queries = 20 if quick else 100
-    env = Environment()
-    trace = Trace(env)
-    names = [f"fam{i % families}.cat{i}" for i in range(cats)]
-    for r in range(per_cat):
-        for name in names:
-            trace.log(name, {"i": r})  # repro: noqa[TR004]
-    checksum = 0
-    for _ in range(queries):
-        for name in names:
-            checksum += len(trace.select(name))
-            checksum += len(trace.times(name))
-        for fam in range(families):
-            checksum += len(trace.select(f"fam{fam}.", prefix=True))
-    return {
-        "records": len(trace),
-        "queries": queries,
-        "checksum": checksum,
-    }
-
-
 def _aggregator_churn(quick: bool) -> dict:
     """Dispatch-decision scans: can_place/place/release cycles."""
     from ..core.aggregator import Aggregator, WorkerView
@@ -371,12 +341,11 @@ def _jobs_1m(quick: bool) -> dict:
     """
     import os
 
+    from ..analysis.campaign import Run
     from ..apps.synthetic import SleepProgram
     from ..cluster.machine import generic_cluster
-    from ..cluster.platform import Platform
-    from ..core.dispatcher import JetsDispatcher, JetsServiceConfig
+    from ..core.dispatcher import JetsServiceConfig
     from ..core.tasklist import JobSpec
-    from ..core.worker import WorkerAgent
     from ..obs import session
 
     jobs_n = _JOBS_1M_QUICK if quick else _JOBS_1M_FULL
@@ -387,18 +356,9 @@ def _jobs_1m(quick: bool) -> dict:
     # would otherwise trigger: this workload measures the pure pipeline.
     with session(stream=True, window=window, trace_out=spill,
                  chrome_out="") as s:
-        platform = Platform(generic_cluster(nodes=8, cores_per_node=4))
-        dispatcher = JetsDispatcher(
-            platform, JetsServiceConfig(), expected_workers=8
-        )
-        dispatcher.start()
-        agents = [
-            WorkerAgent(platform, node, dispatcher.endpoint)
-            for node in platform.nodes
-        ]
-        for agent in agents:
-            agent.start()
-        env = platform.env
+        run = Run(generic_cluster(nodes=8, cores_per_node=4), 0, judged=False)
+        dispatcher = run.start(JetsServiceConfig())
+        env = run.env
         done = env.event()
 
         def feeder(env):
@@ -418,8 +378,7 @@ def _jobs_1m(quick: bool) -> dict:
 
         env.process(feeder(env), name="bench-feeder")
         env.run(done)
-        sink = platform.trace
-        retained = sink.retained
+        retained = run.platform.trace.retained
     out = _collect(s.runs)
     out.update(
         jobs=jobs_n,
@@ -442,7 +401,6 @@ SUITES: dict[str, list[Workload]] = {
             "far_future", _far_future, "irregular far-future overflow stress"
         ),
         Workload("interrupt_storm", _interrupt_storm, "interrupt delivery"),
-        Workload("trace_query", _trace_query, "trace select/times queries"),
         Workload("aggregator_churn", _aggregator_churn, "dispatch scans"),
         Workload("gauge_integral", _gauge_integral, "windowed gauge integrals"),
     ],

@@ -296,7 +296,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from ..bench.cli import bench_main
 
         return bench_main(list(argv[1:]))
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # Out of range, each ends in a traceback, in a run that never
+    # returns (no slot takes a serial job, and the heartbeats keep the
+    # run alive) or in a feature silently off.
+    for flag in ("--nodes", "--slots", "--faults", "--until",
+                 "--progress-every", "--trace-window"):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and not value > 0:
+            parser.error(f"{flag} must be positive")
+    for flag in ("--seed", "--fault-jitter"):
+        if not getattr(args, flag[2:].replace("-", "_")) >= 0:
+            parser.error(f"{flag} must not be negative")
+    if (
+        args.fault_mode == "jittered"
+        and args.faults is not None
+        and not args.fault_jitter < args.faults
+    ):
+        parser.error("--fault-jitter must be below --faults")
     for path in (args.trace_out, args.chrome_trace, args.journal):
         reason = unwritable_reason(path)
         if reason is not None:

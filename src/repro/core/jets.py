@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+#: Allocation walltime: generous, since experiments measure utilization
+#: over the active span, not the allocation.
+WALLTIME = 48 * 3600.0
+
+
 def service_config_for(machine: MachineSpec, **overrides) -> JetsServiceConfig:
     """Machine-calibrated dispatcher/Hydra configuration.
 
@@ -80,16 +85,11 @@ class JetsConfig:
         stage_binaries: stage the Hydra proxy and application images to
             node-local storage at pilot start-up (Section 5 feature 2;
             disable to measure the shared-FS penalty, ablation A1).
-        extra_stage_files: additional images to stage.
-        walltime: allocation walltime (generous by default; experiments
-            measure utilization over the active span).
     """
 
     service: JetsServiceConfig = field(default_factory=JetsServiceConfig)
     worker_slots: Optional[int] = None
     stage_binaries: bool = True
-    extra_stage_files: tuple[ExecutableImage, ...] = ()
-    walltime: float = 48 * 3600.0
 
 
 @dataclass
@@ -184,7 +184,7 @@ class Simulation:
         stop = platform.env.event()
 
         def main() -> Generator:
-            alloc = yield from batch.submit(nodes, self.config.walltime)
+            alloc = yield from batch.submit(nodes, WALLTIME)
             platform.trace.log(
                 "run.allocation",
                 {
@@ -192,7 +192,7 @@ class Simulation:
                     "nodes": nodes,
                     "cores_per_node": self.machine.cores_per_node,
                     "slots": self._effective_slots(),
-                    "walltime": self.config.walltime,
+                    "walltime": WALLTIME,
                 },
             )
             if until is not None:
@@ -257,8 +257,6 @@ class Simulation:
         images: dict[str, ExecutableImage] = {PROXY_IMAGE.name: PROXY_IMAGE}
         for job in tasks:
             img = job.program.image
-            images.setdefault(img.name, img)
-        for img in self.config.extra_stage_files:
             images.setdefault(img.name, img)
         return StagingManager(env, images.values())
 

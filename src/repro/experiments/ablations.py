@@ -144,22 +144,21 @@ def run_grouping(nodes: int = 64, jobs: int = 48, seed: int = 0) -> list[dict]:
     the pool stays roughly half free — and durations vary so readiness
     order scatters across the torus.
     """
-    from ..core.dispatcher import JetsDispatcher
-    from ..core.worker import WorkerAgent
-    from ..cluster.platform import Platform as _Platform
+    from ..analysis.campaign import Run
 
     rows = []
     for grouping in ("fifo", "topology"):
         machine = surveyor(nodes)
-        platform = _Platform(machine, seed=seed)
-        svc = service_config_for(machine, grouping=grouping)
-        dispatcher = JetsDispatcher(platform, svc, expected_workers=nodes)
-        dispatcher.start()
-        for node in platform.nodes:
-            WorkerAgent(
-                platform, node, dispatcher.endpoint,
-                heartbeat_interval=svc.heartbeat_interval,
-            ).start()
+        run = Run(machine, seed, judged=False)
+        platform = run.platform
+        # Fold each dispatch's node group as it is logged, so the run
+        # needs no trace query and can run under a bounded session.
+        groups = []
+        platform.trace.subscribe(
+            lambda rec: groups.append(rec.data.get("node_ids"))
+            if rec.category == "job.dispatch" else None
+        )
+        dispatcher = run.start(service_config_for(machine, grouping=grouping))
         dur_rng = np.random.default_rng(seed)
         durations = dur_rng.uniform(1.0, 6.0, size=jobs)
         arrivals = dur_rng.uniform(0.4, 1.2, size=jobs)
@@ -184,8 +183,7 @@ def run_grouping(nodes: int = 64, jobs: int = 48, seed: int = 0) -> list[dict]:
         platform.env.run(proc)
         topo = platform.topology
         diameters = []
-        for rec in platform.trace.select("job.dispatch"):
-            node_ids = rec.data.get("node_ids")
+        for node_ids in groups:
             if not node_ids:
                 continue
             dia = max(
@@ -209,7 +207,7 @@ def run_grouping(nodes: int = 64, jobs: int = 48, seed: int = 0) -> list[dict]:
         # End the run as run_standalone does, so its parked loops let go
         # of the platform, and free it before the next one is built.
         platform.env.close()
-        del platform, dispatcher, driver
+        del run, platform, dispatcher, driver
     check(
         rows[1]["mean_diameter"] < rows[0]["mean_diameter"],
         "topology-aware grouping yields tighter groups on the torus (A3)",
@@ -235,12 +233,18 @@ def run_spectrum(workers: int = 32, seed: int = 0) -> list[dict]:
             batch,
             CoastersConfig(workers=workers, spectrum=spectrum),
         )
+        # Fold registration times as they are logged, so the run needs
+        # no trace query and can run under a bounded session.
+        registrations = []
+        platform.trace.subscribe(
+            lambda rec: registrations.append(rec.time)
+            if rec.category == "dispatcher.register" else None
+        )
         service.start()
         platform.env.run(service.ready)
         t_ready = platform.env.now
-        # Let in-flight registrations drain, then read the trace.
+        # Let in-flight registrations drain.
         platform.env.run(platform.env.timeout(5.0))
-        registrations = platform.trace.times("dispatcher.register")
         rows.append(
             {
                 "spectrum": spectrum,

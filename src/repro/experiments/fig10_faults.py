@@ -17,8 +17,8 @@ from ..core.jets import FaultSpec, JetsConfig, Simulation, service_config_for
 from ..core.tasklist import TaskList
 from ..metrics.timeline import (
     available_workers_series,
-    running_jobs_series,
     sample_series,
+    step_series,
 )
 from .common import check, print_rows
 
@@ -75,13 +75,13 @@ def run(
     # dispatch→done spans instead.
     starts = [t - t_origin for t in trace.times("job.dispatch")]
     # A retry record marks the end of a dispatch attempt that died with
-    # its worker, so it closes that attempt's interval.
+    # its worker, so it closes that attempt's interval.  step_series
+    # sorts its deltas, so the order of the three lists does not matter.
     dones = [
-        r.time - t_origin
-        for r in trace.select_any(("job.done", "job.failed", "job.retry"))
+        t - t_origin
+        for c in ("job.done", "job.failed", "job.retry")
+        for t in trace.times(c)
     ]
-    from ..metrics.timeline import step_series
-
     running = step_series(starts, dones)
     avail = [
         (t - t_origin, v) for t, v in available_workers_series(trace)

@@ -23,14 +23,11 @@ from .core import (
 from .monitor import (
     Counter,
     Gauge,
-    IntervalLog,
     Trace,
     TraceRecord,
 )
 from .resources import (
-    Container,
     FilterStore,
-    PriorityStore,
     Request,
     Resource,
     Store,
@@ -41,15 +38,12 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "Container",
     "Counter",
     "Environment",
     "Event",
     "FilterStore",
     "Gauge",
     "Interrupt",
-    "IntervalLog",
-    "PriorityStore",
     "Process",
     "Request",
     "Resource",

@@ -6,7 +6,7 @@ rather than ad-hoc bookkeeping inside the model, mirroring how the paper
 instruments worker/task start/stop times (Section 6.1.5).
 
 :class:`Trace` is the one trace sink.  By default it keeps every record
-and answers post-hoc ``select``/``times`` queries in O(matches).  Given
+and answers post-hoc ``select``/``times`` queries by a scan.  Given
 a retention window it keeps only the newest records, and older ones
 spill to a JSONL file in the archival format :func:`record_encoder`
 writes (so a spilled trace is a first-class ``jets report`` /
@@ -21,9 +21,8 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Callable, Iterable, Iterator, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 from .core import Environment
 
@@ -32,10 +31,8 @@ __all__ = [
     "Trace",
     "Counter",
     "Gauge",
-    "IntervalLog",
     "sanitize",
     "record_encoder",
-    "record_line",
     "trailer_line",
 ]
 
@@ -135,17 +132,6 @@ def record_encoder(
     return encode
 
 
-def record_line(
-    rec: "TraceRecord", run: Optional[int] = None, label: str = ""
-) -> str:
-    """One record as its archival JSONL line (newline included).
-
-    A one-off call; a caller encoding many records keeps one
-    :func:`record_encoder` instead.
-    """
-    return record_encoder(run, label)(rec.time, rec.category, rec.data)
-
-
 def trailer_line(perf: dict, run: Optional[int] = None) -> str:
     """The ``{"meta": "perf"}`` trailer as a JSONL line."""
     trailer: dict = {"meta": "perf"}
@@ -210,11 +196,10 @@ class Trace:
     records (see :class:`repro.obs.progress.ProgressTracker`).
 
     The queries (:attr:`records`, iteration, :meth:`select`,
-    :meth:`select_any`, :meth:`times`) answer over every record, through
-    a category index built on the first query and extended on later
-    ones, so :meth:`log` does no index work.  Once the window has evicted
-    a record they raise :class:`ValueError`: a consumer that needs every
-    record of a bounded run folds them as they are logged.
+    :meth:`times`) answer over every record, in log order.  Once the
+    window has evicted a record they raise :class:`ValueError`: a
+    consumer that needs every record of a bounded run folds them as they
+    are logged.
     :meth:`counts`, :meth:`categories` and ``len`` cover every record
     either way.
     """
@@ -254,10 +239,6 @@ class Trace:
         #: category -> records evicted (insertion-ordered, interned
         #: keys); the records held are counted when asked.
         self._evicted: dict[str, int] = {}
-        #: category -> ascending positions in :attr:`window`, covering
-        #: the first ``_indexed`` records (extended by each query).
-        self._index: dict[str, list[int]] = {}
-        self._indexed = 0
 
     def log(self, category: str, data: Any = None) -> None:
         """Record ``data`` under ``category`` at the current sim time."""
@@ -405,68 +386,20 @@ class Trace:
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._all())
 
-    def _indexed_records(self) -> list[TraceRecord]:
-        """Every record, with the category index extended to cover it."""
-        records = self.window if self.high_water is None else self._all()
-        start = self._indexed
-        if start < len(records):
-            index = self._index
-            for i in range(start, len(records)):
-                category = records[i].category
-                bucket = index.get(category)
-                if bucket is None:
-                    bucket = index[category] = []
-                bucket.append(i)
-            self._indexed = len(records)
-        return records
-
-    def _indices(self, category: str, prefix: bool) -> list[int]:
-        """Ascending record positions matching a category (or prefix)."""
-        if not prefix:
-            return self._index.get(category, [])
-        buckets = [
-            b for c, b in self._index.items() if c.startswith(category)
-        ]
-        if len(buckets) == 1:
-            return buckets[0]
-        merged: list[int] = []
-        for b in buckets:
-            merged.extend(b)
-        merged.sort()
-        return merged
-
     def select(self, category: str, prefix: bool = False) -> list[TraceRecord]:
-        """All records in ``category``, in time order.
+        """All records in ``category``, in log order.
 
         With ``prefix=True``, ``category`` matches as a prefix instead
         (``select("job.", prefix=True)`` returns every job-lifecycle
-        record in one indexed lookup).
+        record).
         """
-        records = self._indexed_records()
-        return [records[i] for i in self._indices(category, prefix)]
-
-    def select_any(self, categories: Iterable[str]) -> list[TraceRecord]:
-        """Records in any of the given exact categories, merged in time
-        order — one indexed lookup for multi-family consumers (Fig. 10
-        interval extraction)."""
-        records = self._indexed_records()
-        index = self._index
-        buckets = [index[c] for c in categories if c in index]
-        if not buckets:
-            return []
-        if len(buckets) == 1:
-            idx = buckets[0]
-        else:
-            idx = []
-            for b in buckets:
-                idx.extend(b)
-            idx.sort()
-        return [records[i] for i in idx]
+        if prefix:
+            return [r for r in self._all() if r.category.startswith(category)]
+        return [r for r in self._all() if r.category == category]
 
     def times(self, category: str, prefix: bool = False) -> list[float]:
         """Timestamps of all records in ``category`` (or category prefix)."""
-        records = self._indexed_records()
-        return [records[i].time for i in self._indices(category, prefix)]
+        return [r.time for r in self.select(category, prefix)]
 
 
 class Counter:
@@ -596,50 +529,3 @@ class Gauge:
     def max(self) -> float:
         """Maximum recorded value."""
         return max(v for _t, v in self.samples)
-
-
-@dataclass
-class IntervalLog:
-    """Log of closed intervals (task executions, worker lifetimes)."""
-
-    intervals: list[tuple[float, float, Any]] = field(default_factory=list)
-
-    def add(self, start: float, end: float, tag: Any = None) -> None:
-        """Record an interval [start, end] with an optional tag."""
-        if end < start:
-            raise ValueError(f"interval ends before it starts: {start}..{end}")
-        self.intervals.append((start, end, tag))
-
-    def busy_time(self) -> float:
-        """Sum of interval durations (with multiplicity)."""
-        return sum(e - s for s, e, _ in self.intervals)
-
-    def concurrency_series(self) -> list[tuple[float, int]]:
-        """Step series of how many intervals are open over time."""
-        deltas: list[tuple[float, int]] = []
-        for s, e, _ in self.intervals:
-            deltas.append((s, 1))
-            deltas.append((e, -1))
-        deltas.sort()
-        series: list[tuple[float, int]] = []
-        level = 0
-        for t, d in deltas:
-            level += d
-            if series and series[-1][0] == t:
-                series[-1] = (t, level)
-            else:
-                series.append((t, level))
-        return series
-
-    def span(self) -> tuple[float, float]:
-        """(earliest start, latest end) across all intervals."""
-        if not self.intervals:
-            return (0.0, 0.0)
-        return (
-            min(s for s, _, _ in self.intervals),
-            max(e for _, e, _ in self.intervals),
-        )
-
-    def durations(self) -> list[float]:
-        """All interval durations."""
-        return [e - s for s, e, _ in self.intervals]

@@ -1,28 +1,24 @@
 """Shared-resource primitives for the simulation kernel.
 
-Three primitives cover every synchronization pattern in the JETS stack:
+Two primitives cover every synchronization pattern in the JETS stack:
 
 * :class:`Resource` — counted capacity with FIFO request queue (CPU cores,
   the dispatcher's service thread, filesystem servers).
-* :class:`Store` / :class:`PriorityStore` — producer/consumer queues
-  (worker mailboxes, the dispatcher's ready-worker pool, socket buffers).
-* :class:`Container` — continuous level (bytes in a buffer).
+* :class:`Store` / :class:`FilterStore` — producer/consumer queues
+  (socket buffers, listener backlogs, MPI message matching).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Callable, Optional
 
-from .core import PENDING, Environment, Event, SimulationError
+from .core import PENDING, Environment, Event
 
 __all__ = [
     "Resource",
     "Request",
     "Store",
-    "PriorityStore",
     "FilterStore",
-    "Container",
 ]
 
 
@@ -154,20 +150,19 @@ class Store:
     def put(self, item: Any) -> Event:
         """Insert ``item``; the returned event fires once inserted.
 
-        Fast paths (valid for :class:`PriorityStore` via the
-        ``len(self)``/``_insert``/``_pop`` hooks; :class:`FilterStore`
-        overrides ``put``): with no queued putters and free capacity,
-        ``_dispatch`` reduces to an insert-and-succeed, plus at most one
-        hand-off when consumers are blocked — getters only ever wait
-        while the store is empty, so a single put can serve exactly the
-        head getter.
+        Fast path (:class:`FilterStore` overrides ``put``): with no
+        queued putters and free capacity, ``_dispatch`` reduces to an
+        insert-and-succeed, plus at most one hand-off when consumers are
+        blocked — getters only ever wait while the store is empty, so a
+        single put can serve exactly the head getter.
         """
         ev = Event(self.env)
-        if not self._putters and len(self) < self.capacity:
-            self._insert(item)
+        items = self._items
+        if not self._putters and len(items) < self.capacity:
+            items.append(item)
             ev.succeed()
             if self._getters:
-                self._getters.pop(0).succeed(self._pop())
+                self._getters.pop(0).succeed(items.pop(0))
         else:
             self._putters.append((ev, item))
             self._dispatch()
@@ -180,8 +175,8 @@ class Store:
         # _dispatch can only hand the head item to the head getter —
         # which is this get iff no getter is already waiting.
         if not self._putters:
-            if not self._getters and len(self):
-                ev.succeed(self._pop())
+            if not self._getters and self._items:
+                ev.succeed(self._items.pop(0))
             else:
                 self._getters.append(ev)
         else:
@@ -204,57 +199,12 @@ class Store:
         while True:
             while self._putters and len(self._items) < self.capacity:
                 ev, item = self._putters.pop(0)
-                self._insert(item)
+                self._items.append(item)
                 ev.succeed()
             if not (self._getters and self._items):
                 return
             while self._getters and self._items:
-                self._getters.pop(0).succeed(self._pop())
-            if not self._putters:
-                return
-
-    def _insert(self, item: Any) -> None:
-        self._items.append(item)
-
-    def _pop(self) -> Any:
-        return self._items.pop(0)
-
-
-class PriorityStore(Store):
-    """Store returning items in ascending sort order.
-
-    Items must be comparable (use ``(priority, seq, payload)`` tuples).
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        super().__init__(env, capacity)
-        self._heap: list[Any] = []
-
-    @property
-    def items(self) -> list:
-        return sorted(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def _insert(self, item: Any) -> None:
-        # Item priority order, not event scheduling.
-        heapq.heappush(self._heap, item)  # repro: noqa[PF007]
-
-    def _pop(self) -> Any:
-        return heapq.heappop(self._heap)  # repro: noqa[PF007]
-
-    def _dispatch(self) -> None:
-        # Same fixpoint argument as Store._dispatch.
-        while True:
-            while self._putters and len(self._heap) < self.capacity:
-                ev, item = self._putters.pop(0)
-                self._insert(item)
-                ev.succeed()
-            if not (self._getters and self._heap):
-                return
-            while self._getters and self._heap:
-                self._getters.pop(0).succeed(self._pop())
+                self._getters.pop(0).succeed(self._items.pop(0))
             if not self._putters:
                 return
 
@@ -308,64 +258,3 @@ class FilterStore(Store):
                 self._getters = waiting
             if not (matched and self._putters):
                 return
-
-    def _insert(self, item: Any) -> None:  # pragma: no cover - via _dispatch
-        self._items.append(item)
-
-
-class Container:
-    """Continuous level with blocking put/get (e.g. bytes in a buffer)."""
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._putters: list[tuple[Event, float]] = []
-        self._getters: list[tuple[Event, float]] = []
-
-    @property
-    def level(self) -> float:
-        """Current amount stored."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; event fires once it fits under capacity."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        ev = Event(self.env)
-        self._putters.append((ev, amount))
-        self._dispatch()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; event fires once that much is available."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        ev = Event(self.env)
-        self._getters.append((ev, amount))
-        self._dispatch()
-        return ev
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and self._level + self._putters[0][1] <= self.capacity:
-                ev, amount = self._putters.pop(0)
-                self._level += amount
-                ev.succeed()
-                progressed = True
-            if self._getters and self._level >= self._getters[0][1]:
-                ev, amount = self._getters.pop(0)
-                self._level -= amount
-                ev.succeed()
-                progressed = True

@@ -98,8 +98,6 @@ PINNED = {
     "resume_chain": (10100, {"procs": 50, "depth": 200, "checksum": 995000}),
     "far_future": (3200, {"procs": 100, "rounds": 30}),
     "interrupt_storm": (3722, {"procs": 60, "hits": 20}),
-    "trace_query": (None, {"records": 2400, "queries": 20,
-                           "checksum": 144000}),
     "aggregator_churn": (None, {"workers": 150, "cycles": 2000,
                                 "placed": 3500}),
     "gauge_integral": (None, {"samples": 1000, "integrals": 600,

@@ -1,7 +1,12 @@
 """Tests for the ``jets`` command-line tool."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.cli import build_parser, main
 
 
@@ -72,3 +77,44 @@ class TestCli:
         assert args.machine == "generic"
         assert args.policy == "fifo"
         assert not args.no_staging
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--nodes", "0"], "--nodes must be positive"),
+        (["--slots", "0"], "--slots must be positive"),
+        (["--faults", "0"], "--faults must be positive"),
+        (["--until", "0"], "--until must be positive"),
+        (["--progress-every", "0"], "--progress-every must be positive"),
+        (["--trace-window", "0"], "--trace-window must be positive"),
+        (["--seed", "-1"], "--seed must not be negative"),
+        (["--fault-jitter", "-1"], "--fault-jitter must not be negative"),
+        (
+            ["--faults", "2", "--fault-mode", "jittered",
+             "--fault-jitter", "2"],
+            "--fault-jitter must be below --faults",
+        ),
+    ],
+    ids=["nodes", "slots", "faults", "until", "progress-every",
+         "trace-window", "seed", "fault-jitter", "jittered"],
+)
+def test_out_of_range_flag_is_a_usage_error(taskfile, argv, error, capsys):
+    argv = [taskfile, "--machine", "generic", *argv]
+    if "--slots" in argv:
+        # No slot could take a serial job, so the run never returned:
+        # a subprocess with a timeout fails that case instead of hanging.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.core.cli", *argv],
+            capture_output=True, text=True, timeout=30,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        code, err = proc.returncode, proc.stderr
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code, err = exc.value.code, capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage: jets")
+    assert f"jets: error: {error}" in err

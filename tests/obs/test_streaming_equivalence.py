@@ -170,15 +170,43 @@ class TestWindowedQueries:
             lambda: fig10_faults.run(
                 workers=8, fault_interval=5.0, task_duration=1.0
             ),
-            lambda: ablations.run_spectrum(workers=8),
         ],
-        ids=["fig10", "spectrum"],
+        ids=["fig10"],
     )
     def test_query_after_eviction_raises(self, driver):
         _reset_id_counters()
         with pytest.raises(ValueError, match=r"retained 16 of \d+ records"):
             with obs_session(stream=True, window=16):
                 driver()
+
+
+class TestFoldedAblations:
+    """A3 and A4 fold the records they need as they are logged, so a
+    bounded session changes neither their rows nor their dumps."""
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            lambda: ablations.run_grouping(nodes=27, jobs=12),
+            lambda: ablations.run_spectrum(workers=8),
+        ],
+        ids=["grouping", "spectrum"],
+    )
+    def test_rows_and_dumps_match_under_every_session(self, tmp_path, driver):
+        _reset_id_counters()
+        rows = [driver()]
+        dumps = []
+        for name, bound in (("ram", {}), ("window", {"window": 16})):
+            _reset_id_counters()
+            path = tmp_path / f"{name}.jsonl"
+            kwargs = {"stream": True, **bound} if bound else {}
+            with obs_session(trace_out=str(path), **kwargs):
+                rows.append(driver())
+            chrome = tmp_path / f"{name}.trace.json"
+            dumps.append((path.read_bytes(), chrome.read_bytes()))
+        assert rows[0] == rows[1] == rows[2]
+        assert dumps[0] == dumps[1]
+        assert dumps[0][0]  # the runs actually produced records
 
 
 class TestCounterTracks:

@@ -17,13 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.schema import REGISTRY
-from repro.simkernel.monitor import (
-    TraceRecord,
-    record_encoder,
-    record_line,
-    sanitize,
-    trailer_line,
-)
+from repro.simkernel.monitor import record_encoder, sanitize, trailer_line
 
 
 def reference_line(t, category, data, run=None, label=""):
@@ -154,7 +148,6 @@ JSON_VALUES = st.recursive(
 def test_encoder_matches_reference(t, category, data, run, label):
     expected = reference_line(t, category, data, run, label)
     assert record_encoder(run, label)(t, category, data) == expected
-    assert record_line(TraceRecord(t, category, data), run, label) == expected
 
 
 @pytest.mark.parametrize("run", [None, 0, 5])

@@ -1,8 +1,8 @@
-"""Tests for Trace, Counter, Gauge, IntervalLog instrumentation."""
+"""Tests for Trace, Counter and Gauge instrumentation."""
 
 import pytest
 
-from repro.simkernel import Counter, Gauge, IntervalLog, Trace
+from repro.simkernel import Counter, Gauge, Trace
 
 
 class TestTrace:
@@ -79,38 +79,6 @@ class TestGauge:
         assert g.integral(5, 5) == 0.0
         assert g.mean(3, 3) == 0.0
 
-
-class TestIntervalLog:
-    def test_busy_time(self):
-        log = IntervalLog()
-        log.add(0, 5)
-        log.add(3, 7)
-        assert log.busy_time() == pytest.approx(9.0)
-
-    def test_invalid_interval(self):
-        log = IntervalLog()
-        with pytest.raises(ValueError):
-            log.add(5, 3)
-
-    def test_concurrency_series(self):
-        log = IntervalLog()
-        log.add(0, 4)
-        log.add(2, 6)
-        series = dict(log.concurrency_series())
-        assert series[0] == 1
-        assert series[2] == 2
-        assert series[4] == 1
-        assert series[6] == 0
-
-    def test_span_and_durations(self):
-        log = IntervalLog()
-        log.add(1, 3, "a")
-        log.add(2, 10, "b")
-        assert log.span() == (1, 10)
-        assert sorted(log.durations()) == [2, 8]
-
-    def test_empty_span(self):
-        assert IntervalLog().span() == (0.0, 0.0)
 
 class TestTracePrefixSelect:
     def test_prefix_matches_category_family(self, env):
@@ -193,7 +161,7 @@ class TestGaugeCoalescing:
 
 
 class TestTraceIndex:
-    """The per-category index must agree with a linear scan."""
+    """Category queries agree with a linear scan over the records."""
 
     def _fill(self, env):
         trace = Trace(env)
@@ -222,12 +190,6 @@ class TestTraceIndex:
         assert trace.select("job.", prefix=True) == expected
         assert trace.times("job.", prefix=True) == [r.time for r in expected]
 
-    def test_select_any_merges_in_record_order(self, env):
-        trace = self._fill(env)
-        picked = ("worker.tick", "job.s2")
-        expected = [r for r in trace.records if r.category in picked]
-        assert trace.select_any(picked) == expected
-
     def test_categories_in_first_appearance_order(self, env):
         trace = self._fill(env)
         assert trace.categories() == [
@@ -238,8 +200,8 @@ class TestTraceIndex:
     def test_index_stays_live_after_new_logs(self, env):
         trace = Trace(env)
         trace.log("a", 1)
-        assert len(trace.select("a")) == 1  # query builds/uses the index...
-        trace.log("a", 2)  # ...and later logs still land in it
+        assert len(trace.select("a")) == 1
+        trace.log("a", 2)  # a log after a query is seen by the next one
         assert [r.data for r in trace.select("a")] == [1, 2]
 
     def test_categories_are_interned(self, env):

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkernel import Environment, Gauge, IntervalLog, Resource, Store
+from repro.simkernel import Environment, Gauge, Resource, Store
 
 
 @given(
@@ -82,31 +82,6 @@ def test_store_conserves_items(items):
     env.process(consumer())
     env.run()
     assert out == items
-
-
-@given(
-    spans=st.lists(
-        st.tuples(
-            st.floats(min_value=0, max_value=50, allow_nan=False),
-            st.floats(min_value=0, max_value=50, allow_nan=False),
-        ),
-        min_size=1,
-        max_size=30,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_interval_log_concurrency_consistent_with_busy_time(spans):
-    """Integrating the concurrency step series equals total busy time."""
-    log = IntervalLog()
-    for a, b in spans:
-        lo, hi = min(a, b), max(a, b)
-        log.add(lo, hi)
-    series = log.concurrency_series()
-    integral = 0.0
-    for (t0, v0), (t1, _v1) in zip(series, series[1:]):
-        integral += v0 * (t1 - t0)
-    assert abs(integral - log.busy_time()) < 1e-6
-    assert series[-1][1] == 0  # all intervals eventually close
 
 
 @given(

@@ -1,16 +1,10 @@
-"""Tests for Resource, Store, PriorityStore, FilterStore, Container."""
+"""Tests for Resource, Store and FilterStore."""
 
 import gc
 
 import pytest
 
-from repro.simkernel import (
-    Container,
-    FilterStore,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from repro.simkernel import FilterStore, Resource, Store
 from tests.conftest import bytes_per_instance
 
 
@@ -217,42 +211,6 @@ class TestStore:
         assert bytes_per_instance(lambda _: Store(env)) <= 1_000
 
 
-class TestPriorityStore:
-    def test_orders_items(self, env):
-        store = PriorityStore(env)
-        out = []
-
-        def proc():
-            for item in [(3, "c"), (1, "a"), (2, "b")]:
-                yield store.put(item)
-            for _ in range(3):
-                item = yield store.get()
-                out.append(item[1])
-
-        env.process(proc())
-        env.run()
-        assert out == ["a", "b", "c"]
-
-    def test_blocking_get_receives_minimum(self, env):
-        store = PriorityStore(env)
-
-        def getter():
-            item = yield store.get()
-            return item
-
-        def putter():
-            yield env.timeout(1)
-            yield store.put(5)
-            yield store.put(2)
-
-        p = env.process(getter())
-        env.process(putter())
-        env.run()
-        # The blocked getter receives the first put (5); a second get
-        # would receive 2.  This matches store-dispatch-on-put semantics.
-        assert p.value == 5
-
-
 class TestFilterStore:
     def test_filtered_get(self, env):
         store = FilterStore(env)
@@ -313,60 +271,3 @@ class TestFilterStore:
         store.put(("x", 2))
         env.run()
         assert [g.value for g in gets] == [("x", 1), ("y", 0), ("x", 2)]
-
-
-class TestContainer:
-    def test_put_get_levels(self, env):
-        c = Container(env, capacity=10, init=5)
-
-        def proc():
-            yield c.get(3)
-            yield c.put(6)
-            return c.level
-
-        p = env.process(proc())
-        env.run()
-        assert p.value == 8
-
-    def test_get_blocks_until_available(self, env):
-        c = Container(env, capacity=10)
-
-        def getter():
-            yield c.get(4)
-            return env.now
-
-        def putter():
-            yield env.timeout(2)
-            yield c.put(4)
-
-        p = env.process(getter())
-        env.process(putter())
-        env.run()
-        assert p.value == 2
-
-    def test_put_blocks_at_capacity(self, env):
-        c = Container(env, capacity=5, init=5)
-
-        def putter():
-            yield c.put(1)
-            return env.now
-
-        def getter():
-            yield env.timeout(3)
-            yield c.get(2)
-
-        p = env.process(putter())
-        env.process(getter())
-        env.run()
-        assert p.value == 3
-
-    def test_validation(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=5, init=6)
-        c = Container(env, capacity=5)
-        with pytest.raises(ValueError):
-            c.put(-1)
-        with pytest.raises(ValueError):
-            c.get(-1)

@@ -82,7 +82,6 @@ class TestWindowRetention:
             lambda: list(t),
             lambda: t.select("job.submit"),
             lambda: t.select("job.", prefix=True),
-            lambda: t.select_any(["job.done", "worker.beat"]),
             lambda: t.times("worker.beat"),
         )
         for query in queries:
@@ -90,15 +89,6 @@ class TestWindowRetention:
                 query()
         # The all-time counts still cover every record.
         assert sum(t.counts().values()) == len(t) == 30
-
-    def test_select_any_preserves_log_order_across_categories(self, env):
-        t = Trace(env, window=64)
-        _log_n(t, 30, with_time=True)
-        merged = t.select_any(["job.submit", "job.done"])
-        assert [r.data["i"] for r in merged] == sorted(
-            r.data["i"] for r in merged
-        )
-        assert merged == t.select("job.", prefix=True)
 
     def test_window_floor_is_one(self, env):
         t = Trace(env, window=0)
